@@ -23,14 +23,16 @@
 
 namespace {
 
-// ---- Vectorized-execution A/B: the same optimized plans on the same Gaia
-// engine, row-at-a-time vs columnar batches, at 4 workers. `--json=PATH`
-// emits the BENCH_exp2_snb.json schema for the tools/check.sh ratchet;
-// `--min-geomean=X` turns the speedup target into a hard gate.
+// ---- Columnar-execution A/B: the same optimized plans, run by the
+// tuple-at-a-time reference (Interpreter::RunTupleAtATime) and by batched
+// Gaia at 1 worker. Both arms are single-threaded, so the ratio isolates
+// the execution strategy. `--json=PATH` emits the BENCH_exp2_snb.json
+// schema for the tools/check.sh ratchet; `--min-geomean=X` turns the
+// speedup floor into a hard gate.
 int RunAb(bool smoke, const std::string& json_path, double min_geomean) {
   using namespace flex;
-  bench::PrintHeader(smoke ? "Exp-2 A/B: row vs batched Gaia (smoke)"
-                           : "Exp-2 A/B: row vs batched Gaia execution");
+  bench::PrintHeader(smoke ? "Exp-2 A/B: reference vs batched Gaia (smoke)"
+                           : "Exp-2 A/B: reference vs batched Gaia, 1 worker");
 
   snb::SnbConfig config;
   config.num_persons = smoke ? 120 : 4000;
@@ -39,9 +41,9 @@ int RunAb(bool smoke, const std::string& json_path, double min_geomean) {
   auto gart = storage::GartStore::Build(data).value();
   auto snapshot = gart->GetSnapshot();
 
-  const size_t kWorkers = 4;
   query::QueryService service(snapshot.get(), 1);  // Compile only.
-  runtime::GaiaEngine engine(snapshot.get(), kWorkers);
+  query::Interpreter reference(snapshot.get());
+  runtime::GaiaEngine engine(snapshot.get(), 1);
 
   // The full 41-query SNB suite: interactive complex + short reads plus
   // the BI scan/aggregation queries, so the A/B covers both regimes —
@@ -59,15 +61,23 @@ int RunAb(bool smoke, const std::string& json_path, double min_geomean) {
         service.Compile(query::Language::kCypher, q.cypher).value());
   }
 
-  std::printf("%-5s %12s %12s %10s\n", "query", "row", "batched", "speedup");
+  std::printf("%-5s %12s %12s %10s\n", "query", "reference", "batched",
+              "speedup");
   std::string json = "{\n  \"bench\": \"exp2_snb_interactive_ab\",\n"
                      "  \"results\": [\n";
   double log_sum = 0.0;
   const int kSamples = smoke ? 3 : 11;
   for (size_t i = 0; i < reads.size(); ++i) {
-    auto run_once = [&](runtime::ExecMode mode, Rng& rng) {
-      auto rows = engine.Run(plans[i], reads[i].params(rng, stats), {},
-                             nullptr, nullptr, trace::kNoParent, mode);
+    auto run_once = [&](bool batched, Rng& rng) {
+      std::vector<PropertyValue> params = reads[i].params(rng, stats);
+      Result<std::vector<ir::Row>> rows = std::vector<ir::Row>{};
+      if (batched) {
+        rows = engine.Run(plans[i], std::move(params));
+      } else {
+        query::ExecOptions opts;
+        opts.params = std::move(params);
+        rows = reference.RunTupleAtATime(plans[i], opts);
+      }
       FLEX_CHECK(rows.ok());
       bench::Sink(rows.value().size());
     };
@@ -77,36 +87,37 @@ int RunAb(bool smoke, const std::string& json_path, double min_geomean) {
     int inner = 1;
     {
       Rng rng(900 + i);
-      run_once(runtime::ExecMode::kRowAtATime, rng);  // Warm caches.
+      run_once(false, rng);  // Warm caches.
       Timer cal;
-      run_once(runtime::ExecMode::kRowAtATime, rng);
+      run_once(false, rng);
       const double single = cal.ElapsedMillis();
       inner = std::max(
           1, static_cast<int>(std::ceil(0.5 / std::max(single, 1e-4))));
     }
     // Median of samples, identical parameter-draw sequences per mode.
-    auto time_mode = [&](runtime::ExecMode mode, uint64_t seed) {
+    auto time_mode = [&](bool batched, uint64_t seed) {
       Rng rng(seed);
-      run_once(mode, rng);  // Warmup.
+      run_once(batched, rng);  // Warmup.
       std::vector<double> samples;
       for (int s = 0; s < kSamples; ++s) {
         Timer timer;
-        for (int r = 0; r < inner; ++r) run_once(mode, rng);
+        for (int r = 0; r < inner; ++r) run_once(batched, rng);
         samples.push_back(timer.ElapsedMillis() / inner);
       }
       std::nth_element(samples.begin(), samples.begin() + kSamples / 2,
                        samples.end());
       return samples[kSamples / 2];
     };
-    const double row_ms = time_mode(runtime::ExecMode::kRowAtATime, 300 + i);
-    const double batched_ms = time_mode(runtime::ExecMode::kBatched, 300 + i);
+    const double row_ms = time_mode(false, 300 + i);
+    const double batched_ms = time_mode(true, 300 + i);
     log_sum += std::log(row_ms / batched_ms);
-    std::printf("%-5s %10.3fms %10.3fms %10s\n", reads[i].name.c_str(),
+    // Four decimals: the point reads take a few microseconds.
+    std::printf("%-5s %10.4fms %10.4fms %10s\n", reads[i].name.c_str(),
                 row_ms, batched_ms, bench::Ratio(row_ms, batched_ms).c_str());
     char line[128];
     std::snprintf(line, sizeof(line),
-                  "    {\"name\": \"%s_row\", \"ms\": %.3f},\n"
-                  "    {\"name\": \"%s_batched\", \"ms\": %.3f}%s\n",
+                  "    {\"name\": \"%s_row\", \"ms\": %.4f},\n"
+                  "    {\"name\": \"%s_batched\", \"ms\": %.4f}%s\n",
                   reads[i].name.c_str(), row_ms, reads[i].name.c_str(),
                   batched_ms, i + 1 < reads.size() ? "," : "");
     json += line;
@@ -114,9 +125,8 @@ int RunAb(bool smoke, const std::string& json_path, double min_geomean) {
   json += "  ]\n}\n";
 
   const double geomean = std::exp(log_sum / reads.size());
-  std::printf("\nbatched/row geomean speedup: %.2fx at %zu workers "
-              "(target 1.45x)\n",
-              geomean, kWorkers);
+  std::printf("\nbatched/reference geomean speedup: %.2fx at 1 worker\n",
+              geomean);
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     FLEX_CHECK(f != nullptr);

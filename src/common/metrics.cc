@@ -196,7 +196,7 @@ constexpr MetricSpec kStackMetrics[] = {
      "Submissions shed by HiActor bounded-queue admission control."},
     {kQueriesTotal, "counter", "Queries accepted by QueryService::Run."},
     {kQueryBatchesTotal, "counter",
-     "Columnar batches emitted by vectorized query operators."},
+     "Columnar batches emitted by query operators."},
     {kQueryFailuresTotal, "counter",
      "Queries that returned a non-OK status after all retries."},
     {kQueryLatencyUs, "histogram",

@@ -1,5 +1,6 @@
 #include "graph/property.h"
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 
@@ -79,7 +80,7 @@ uint64_t PropertyValue::Hash() const {
     case PropertyType::kDouble: {
       // Normalize so 1.0 and int64(1) hash alike (they compare equal).
       const double d = AsDouble();
-      if (d == static_cast<double>(static_cast<int64_t>(d))) {
+      if (FitsInt64(d) && d == std::trunc(d)) {
         h = static_cast<uint64_t>(PropertyType::kInt64) * kMul;
         h ^= static_cast<uint64_t>(static_cast<int64_t>(d)) * kMul;
       } else {

@@ -21,6 +21,10 @@ enum class PropertyType : uint8_t {
 
 const char* PropertyTypeName(PropertyType type);
 
+/// True when `d` converts to int64 without undefined behaviour: it is not
+/// NaN and lies in [-2^63, 2^63).
+inline bool FitsInt64(double d) { return d >= -0x1p63 && d < 0x1p63; }
+
 /// A dynamically typed property value. Columnar stores keep properties in
 /// typed arrays; PropertyValue is the boxed form that crosses the GraphIR /
 /// query-language boundary.
@@ -42,6 +46,7 @@ class PropertyValue {
   }
 
   bool is_empty() const { return type() == PropertyType::kEmpty; }
+  bool is_numeric() const { return IsNumericType(type()); }
 
   bool AsBool() const { return std::get<bool>(value_); }
   int64_t AsInt64() const { return std::get<int64_t>(value_); }

@@ -209,7 +209,7 @@ class GrinGraph {
 
   virtual size_t Degree(vid_t v, Direction dir, label_t edge_label) const = 0;
 
-  /// Batched adjacency for vectorized engines: streams, for each source
+  /// Batched adjacency for columnar engines: streams, for each source
   /// `vids[i]` in span order, its chunks under `edge_label` — for kBoth
   /// first the kOut chunks then the kIn chunks of each source, matching
   /// the scalar VisitAdj call sequence. Returns false if the visitor

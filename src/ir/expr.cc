@@ -1,5 +1,7 @@
 #include "ir/expr.h"
 
+#include <limits>
+
 #include "common/logging.h"
 
 namespace flex::ir {
@@ -90,25 +92,33 @@ bool Truthy(const PropertyValue& v) {
 }
 
 PropertyValue Arith(BinOp op, const PropertyValue& a, const PropertyValue& b) {
-  // Integer arithmetic stays integral; anything else widens to double.
+  // Integer arithmetic stays integral; an int64 overflow and anything
+  // mixed widen to double.
   if (a.type() == PropertyType::kInt64 && b.type() == PropertyType::kInt64) {
     const int64_t x = a.AsInt64(), y = b.AsInt64();
+    int64_t r = 0;
     switch (op) {
       case BinOp::kAdd:
-        return PropertyValue(x + y);
+        if (!__builtin_add_overflow(x, y, &r)) return PropertyValue(r);
+        break;
       case BinOp::kSub:
-        return PropertyValue(x - y);
+        if (!__builtin_sub_overflow(x, y, &r)) return PropertyValue(r);
+        break;
       case BinOp::kMul:
-        return PropertyValue(x * y);
+        if (!__builtin_mul_overflow(x, y, &r)) return PropertyValue(r);
+        break;
       case BinOp::kDiv:
-        return y == 0 ? PropertyValue() : PropertyValue(x / y);
+        // INT64_MIN / -1 is the one quotient int64 cannot hold.
+        if (y == 0 || (x == std::numeric_limits<int64_t>::min() && y == -1)) {
+          return PropertyValue();
+        }
+        return PropertyValue(x / y);
       default:
         break;
     }
   }
-  if (a.type() == PropertyType::kEmpty || b.type() == PropertyType::kEmpty) {
-    return PropertyValue();
-  }
+  // Null, string and bool operands make the result null.
+  if (!a.is_numeric() || !b.is_numeric()) return PropertyValue();
   const double x = a.AsNumeric(), y = b.AsNumeric();
   switch (op) {
     case BinOp::kAdd:
@@ -238,7 +248,7 @@ void Expr::EvalPropertyBatch(const Batch& batch,
                              std::vector<PropertyValue>* out) const {
   const class Column& col = batch.column(column_);
   if (col.kind() == flex::ir::Column::Kind::kVertex) {
-    // The vectorized fast path: one schema lookup and one batched GRIN
+    // The batched fast path: one schema lookup and one batched GRIN
     // call per contiguous same-label run of source vertices.
     const std::span<const vid_t> vids = col.vids();
     std::vector<vid_t> run;

@@ -57,7 +57,7 @@ class Expr {
   bool EvalBool(const Row& row, const grin::GrinGraph& graph,
                 const std::vector<PropertyValue>& params) const;
 
-  /// Vectorized evaluation: resizes `out` to rows.size() and fills
+  /// Batch evaluation: resizes `out` to rows.size() and fills
   /// out[i] = Eval(row at physical index rows[i] of `batch`). Semantics are
   /// identical to the scalar Eval (expressions are side-effect-free);
   /// property dereferences over vertex columns go through the batched GRIN

@@ -195,7 +195,7 @@ std::string Plan::DebugString(const GraphSchema* schema) const {
           out << (j == 0 ? " by " : ", ") << op.exprs[j]->ToString()
               << (op.ascending[j] ? " asc" : " desc");
         }
-        if (op.limit > 0) out << " limit=" << op.limit;
+        if (op.limit != kNoLimit) out << " limit=" << op.limit;
         break;
       case OpKind::kGroup:
         for (size_t j = 0; j < op.exprs.size(); ++j) {

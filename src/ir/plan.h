@@ -57,6 +57,10 @@ struct AggSpec {
   }
 };
 
+/// `Op::limit` value meaning "no limit". LIMIT 0 is a real limit: it
+/// keeps no rows.
+inline constexpr size_t kNoLimit = static_cast<size_t>(-1);
+
 /// One node of the (linearized) computational DAG.
 struct Op {
   OpKind kind;
@@ -83,7 +87,7 @@ struct Op {
   std::vector<bool> ascending;       ///< Order directions.
   std::vector<AggSpec> aggregates;   ///< Group aggregates.
   std::vector<size_t> key_columns;   ///< Dedup keys.
-  size_t limit = 0;                  ///< Order top-k / Limit n (0 = none).
+  size_t limit = kNoLimit;           ///< Order top-k / Limit n.
 
   Op Clone() const;
 };
@@ -95,9 +99,7 @@ struct Plan {
   std::vector<std::string> columns;
   /// Optimizer cost annotation: the largest intermediate row count any
   /// operator is estimated to produce (catalog fan-outs × selectivities),
-  /// or -1 when no catalog was available. Engines consult it to pick an
-  /// execution strategy — columnar scaffolding only amortizes above a
-  /// handful of rows, so tiny pipelines run tuple-at-a-time.
+  /// or -1 when no catalog was available. EXPLAIN renders it.
   double estimated_peak_rows = -1.0;
 
   Plan Clone() const;
@@ -144,7 +146,7 @@ class PlanBuilder {
   void Select(ExprPtr predicate);
   void Project(std::vector<ExprPtr> exprs, std::vector<std::string> names);
   void Order(std::vector<ExprPtr> keys, std::vector<bool> ascending,
-             size_t limit = 0);
+             size_t limit = kNoLimit);
   void Group(std::vector<ExprPtr> keys, std::vector<std::string> key_names,
              std::vector<AggSpec> aggregates);
   void Limit(size_t n);

@@ -276,7 +276,7 @@ class CypherParser {
           ascending.push_back(asc);
           if (!ts_.TryPunct(",")) break;
         }
-        size_t limit = 0;
+        size_t limit = ir::kNoLimit;
         if (ts_.TryKeyword("LIMIT")) {
           if (ts_.Peek().kind != TokKind::kInt) {
             return Status::ParseError("expected integer LIMIT");

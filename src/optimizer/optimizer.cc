@@ -260,10 +260,8 @@ void LimitPushdown(Plan* plan) {
   for (size_t i = 0; i + 1 < plan->ops.size(); ++i) {
     if (plan->ops[i].kind == OpKind::kOrder &&
         plan->ops[i + 1].kind == OpKind::kLimit) {
-      const size_t n = plan->ops[i + 1].limit;
-      if (plan->ops[i].limit == 0 || n < plan->ops[i].limit) {
-        plan->ops[i].limit = n;
-      }
+      Op& order = plan->ops[i];
+      order.limit = std::min(order.limit, plan->ops[i + 1].limit);
       plan->ops.erase(plan->ops.begin() + i + 1);
     }
   }
@@ -709,14 +707,10 @@ void FusePipelines(Plan* plan, const GraphSchema& schema) {
 /// Annotates the plan with the catalog's estimate of the largest
 /// intermediate row count any operator produces: scans contribute label
 /// cardinalities (1 for oid lookups), expansions multiply by average
-/// fan-out, predicates by the default selectivity. Engines consult the
-/// estimate to pick an execution strategy — columnar batches amortize
-/// their scaffolding over rows, so a pipeline whose every intermediate
-/// stays below a handful of rows runs faster tuple-at-a-time.
+/// fan-out, predicates by the default selectivity, and a LIMIT or top-k
+/// ORDER caps the rows downstream of it. EXPLAIN renders the estimate.
 void EstimatePeakRows(Plan* plan, const Catalog& catalog) {
-  // Anything we cannot price (unknown labels) counts as "large": the
-  // estimate is only ever used to demote tiny pipelines, so erring big
-  // keeps the default strategy.
+  // Anything we cannot price (unknown labels) counts as "large".
   constexpr double kUnknown = 1e12;
   double rows = 1.0;
   double peak = 0.0;
@@ -766,11 +760,13 @@ void EstimatePeakRows(Plan* plan, const Catalog& catalog) {
       case OpKind::kSelect:
         rows *= Catalog::kDefaultSelectivity;
         break;
+      case OpKind::kOrder:
       case OpKind::kLimit:
+        // kNoLimit converts to ~1.8e19, so an unlimited ORDER keeps `rows`.
         rows = std::min(rows, static_cast<double>(op.limit));
         break;
       default:
-        // PROJECT / ORDER / GROUP / DEDUP never grow their input; `rows`
+        // PROJECT / GROUP / DEDUP never grow their input; `rows`
         // stays an upper bound and `peak` already covers the input side.
         break;
     }

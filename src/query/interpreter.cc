@@ -1,6 +1,7 @@
 #include "query/interpreter.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -38,7 +39,8 @@ uint64_t RowKeyHash(const std::vector<Entry>& key) {
 /// Aggregate accumulator for one group. SUM/AVG keep integer and floating
 /// contributions separate: int64 inputs accumulate exactly in `int_sum`
 /// (folding them through a double loses exactness above 2^53), doubles go
-/// to `double_sum`, and the two merge only at Finalize.
+/// to `double_sum`, and the two merge only at Finalize. An int64 input
+/// that would overflow `int_sum` widens into `double_sum` instead.
 struct Accumulator {
   size_t count = 0;
   int64_t int_sum = 0;
@@ -67,14 +69,17 @@ void Accumulate(const ir::AggSpec& spec, const PropertyValue& value,
       break;
     case ir::AggSpec::Fn::kSum:
     case ir::AggSpec::Fn::kAvg:
+      // Null, string and bool inputs add nothing but still count.
       if (value.type() == PropertyType::kInt64) {
-        // Unsigned add: wraparound on (astronomically unlikely) overflow
-        // instead of UB.
-        acc->int_sum = static_cast<int64_t>(
-            static_cast<uint64_t>(acc->int_sum) +
-            static_cast<uint64_t>(value.AsInt64()));
-      } else if (!value.is_empty()) {
-        acc->double_sum += value.AsNumeric();
+        int64_t sum = 0;
+        if (__builtin_add_overflow(acc->int_sum, value.AsInt64(), &sum)) {
+          acc->double_sum += static_cast<double>(value.AsInt64());
+          acc->saw_double = true;
+        } else {
+          acc->int_sum = sum;
+        }
+      } else if (value.type() == PropertyType::kDouble) {
+        acc->double_sum += value.AsDouble();
         acc->saw_double = true;
       }
       ++acc->count;
@@ -101,8 +106,8 @@ PropertyValue Finalize(const ir::AggSpec& spec, const Accumulator& acc) {
       // All-integer sums stay exact end to end.
       if (!acc.saw_double) return PropertyValue(acc.int_sum);
       const double s = acc.double_sum + static_cast<double>(acc.int_sum);
-      // Mixed sums render as int64 when integral.
-      if (s == static_cast<double>(static_cast<int64_t>(s))) {
+      // Mixed sums render as int64 when integral and in range.
+      if (FitsInt64(s) && s == std::trunc(s)) {
         return PropertyValue(static_cast<int64_t>(s));
       }
       return PropertyValue(s);
@@ -133,7 +138,7 @@ void NoteBatch(const Batch& b) {
                             static_cast<uint64_t>(b.NumSelected()));
 }
 
-/// Filter core of the vectorized path: evaluates `predicate` over the
+/// Filter core of the columnar path: evaluates `predicate` over the
 /// current selection and keeps only the passing rows — selection bits
 /// flip, no tuple is copied.
 void RefineSelection(const ir::Expr& predicate, const grin::GrinGraph& g,
@@ -244,7 +249,6 @@ struct ScanState {
   const grin::GrinGraph* g = nullptr;
   const ExecOptions* opts = nullptr;
   std::vector<Batch>* out = nullptr;
-  bool windowed = false;
   size_t total = 0;     ///< Scan positions across all scanned labels.
   size_t position = 0;  ///< Global scan position (label-major, like rows).
   size_t cur_begin = 0;  ///< Current claimed morsel window; empty at start.
@@ -255,9 +259,50 @@ struct ScanState {
   Status status;
 };
 
+/// State threaded through the fused columnar scan. The morsel claim runs
+/// as the GRIN `pred` callback — called for every vertex of the label, so
+/// scan positions count exactly as in the unfused scan — while the
+/// `visitor` only sees vertices that also passed the pushed-down filter.
+struct FusedScanState : ScanState {
+  static constexpr size_t kNotAProp = static_cast<size_t>(-1);
+
+  const ir::PushdownSplit* split = nullptr;
+  size_t last_pos = 0;  ///< Position of the vertex currently in flight.
+  bool project = false;
+  /// Per projection expr: its slot in the natively gathered `prop_cols`,
+  /// or kNotAProp (evaluated via Expr at flush time).
+  std::vector<size_t> expr_slot;
+  std::vector<Column> prop_cols;
+  Row tmp_row;  ///< Scratch single-column row for residual conjuncts.
+};
+
+/// Morsel ownership of scan position `pos`, shared by the plain and fused
+/// columnar scans. Without a morsel source every position is owned. With
+/// one, the scan owns one claimed window at a time: leaving a window
+/// flushes the pending batch first, so a batch never spans two windows —
+/// each batch covers one contiguous slice of the global scan order and
+/// sorting by order_key at the exchange reconstructs it exactly. Returns
+/// false for an unowned position; a false `status` or `exhausted` then
+/// means the scan must stop.
+template <typename State>
+bool ClaimPosition(State* s, size_t pos, bool (*flush)(State*)) {
+  ScanMorselSource* morsels = s->opts->morsels;
+  if (morsels == nullptr) return true;
+  while (pos >= s->cur_end) {
+    if (!flush(s)) return false;
+    s->cur_begin = morsels->Claim();
+    s->cur_end = s->cur_begin + morsels->grain;
+    if (s->cur_begin >= s->total) {
+      s->exhausted = true;  // Nothing left anywhere ahead of us.
+      return false;
+    }
+  }
+  return pos >= s->cur_begin;
+}
+
 /// Flushes the pending vids as one batch (selection starts full, the scan
 /// predicate then flips selection bits) and runs the batch-boundary
-/// deadline/cancellation check — the vectorized path's quantum.
+/// deadline/cancellation check — the columnar path's quantum.
 bool FlushScanBatch(ScanState* s) {
   if (!s->pending.empty()) {
     Batch b;
@@ -277,70 +322,18 @@ bool FlushScanBatch(ScanState* s) {
   return s->status.ok();
 }
 
-/// Per-vertex scan visitor. Ownership of a position: the claimed morsel
-/// windows when a ScanMorselSource is set, the static [scan_begin,
-/// scan_end) window when narrowed, else the legacy modulo shard. A batch
-/// never spans two morsel windows, so every batch covers one contiguous
-/// slice of the global scan order and order_key sorting at the exchange
-/// reconstructs it exactly.
+/// Per-vertex scan visitor: appends owned vertices to the pending batch.
 bool ScanVisit(void* raw, vid_t v) {
   auto* s = static_cast<ScanState*>(raw);
   const size_t pos = s->position++;
-  bool owned;
-  if (s->opts->morsels != nullptr) {
-    while (pos >= s->cur_end) {
-      if (!FlushScanBatch(s)) return false;
-      s->cur_begin = s->opts->morsels->Claim();
-      s->cur_end = s->cur_begin + s->opts->morsels->grain;
-      if (s->cur_begin >= s->total) {
-        s->exhausted = true;  // Nothing left anywhere ahead of us.
-        return false;
-      }
-    }
-    owned = pos >= s->cur_begin;
-  } else if (s->windowed) {
-    if (pos >= s->opts->scan_end) return false;  // Past the window: stop.
-    owned = pos >= s->opts->scan_begin;
-  } else {
-    owned = pos % s->opts->shard_count == s->opts->shard_index;
+  if (!ClaimPosition(s, pos, &FlushScanBatch)) {
+    return s->status.ok() && !s->exhausted;
   }
-  if (!owned) return true;
   if (s->pending.empty()) s->pending_first = pos;
   s->pending.AppendVertex(v);
   if (s->pending.size() >= ir::kBatchSize) return FlushScanBatch(s);
   return true;
 }
-
-/// State threaded through the fused columnar scan. The engine-side
-/// ownership logic (morsel claims / static window / modulo shard) runs as
-/// the GRIN `pred` callback — called for every vertex of the label, so
-/// scan positions count exactly as in the unfused scan — while the
-/// `visitor` only sees vertices that also passed the pushed-down filter.
-struct FusedScanState {
-  static constexpr size_t kNotAProp = static_cast<size_t>(-1);
-
-  const ir::Op* op = nullptr;
-  const grin::GrinGraph* g = nullptr;
-  const ExecOptions* opts = nullptr;
-  std::vector<Batch>* out = nullptr;
-  const ir::PushdownSplit* split = nullptr;
-  bool windowed = false;
-  size_t total = 0;
-  size_t position = 0;
-  size_t cur_begin = 0;
-  size_t cur_end = 0;
-  size_t last_pos = 0;  ///< Position of the vertex currently in flight.
-  bool exhausted = false;
-  bool project = false;
-  /// Per projection expr: its slot in the natively gathered `prop_cols`,
-  /// or kNotAProp (evaluated via Expr at flush time).
-  std::vector<size_t> expr_slot;
-  std::vector<Column> prop_cols;
-  Column pending;  ///< Surviving vids, not yet flushed.
-  uint64_t pending_first = 0;
-  Row tmp_row;  ///< Scratch single-column row for residual conjuncts.
-  Status status;
-};
 
 /// Flushes the surviving vids as one batch. Without a folded projection
 /// the batch is the vid column (residual conjuncts were already applied
@@ -392,27 +385,11 @@ bool FlushFusedScanBatch(FusedScanState* s) {
 /// like ScanVisit. A GRIN predicate cannot stop the enumeration (false
 /// means "skip"), so after morsel exhaustion it keeps declining the
 /// remaining vertices instead of breaking out — positions still count.
-bool FusedScanPred(void* raw, vid_t v) {
-  (void)v;
+bool FusedScanPred(void* raw, vid_t) {
   auto* s = static_cast<FusedScanState*>(raw);
   const size_t pos = s->position++;
   if (!s->status.ok() || s->exhausted) return false;
-  if (s->opts->morsels != nullptr) {
-    while (pos >= s->cur_end) {
-      if (!FlushFusedScanBatch(s)) return false;
-      s->cur_begin = s->opts->morsels->Claim();
-      s->cur_end = s->cur_begin + s->opts->morsels->grain;
-      if (s->cur_begin >= s->total) {
-        s->exhausted = true;
-        return false;
-      }
-    }
-    if (pos < s->cur_begin) return false;
-  } else if (s->windowed) {
-    if (pos < s->opts->scan_begin || pos >= s->opts->scan_end) return false;
-  } else if (pos % s->opts->shard_count != s->opts->shard_index) {
-    return false;
-  }
+  if (!ClaimPosition(s, pos, &FlushFusedScanBatch)) return false;
   s->last_pos = pos;
   return true;
 }
@@ -456,26 +433,21 @@ bool Interpreter::IsBlocking(const ir::Op& op) {
 
 Result<std::vector<Row>> Interpreter::Run(const ir::Plan& plan,
                                           const ExecOptions& opts) const {
-  if (!opts.vectorized) {
-    return RunRange(plan, 0, plan.ops.size(), {}, opts);
-  }
   auto batches = RunRangeBatched(plan, 0, plan.ops.size(), {}, opts);
   FLEX_RETURN_NOT_OK(batches.status());
   return ir::BatchesToRows(batches.value());
 }
 
-Result<std::vector<Row>> Interpreter::RunRange(const ir::Plan& plan,
-                                               size_t begin, size_t end,
-                                               std::vector<Row> input,
-                                               const ExecOptions& opts) const {
-  std::vector<Row> rows = std::move(input);
-  for (size_t i = begin; i < end; ++i) {
+Result<std::vector<Row>> Interpreter::RunTupleAtATime(
+    const ir::Plan& plan, const ExecOptions& opts) const {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
     // Operator boundary: the interpreter's cancellation/deadline quantum.
     FLEX_RETURN_NOT_OK(
         CheckRunnable(opts.deadline, opts.cancel, "interpreter"));
     trace::ScopedSpan op_span(opts.trace, ir::OpKindName(plan.ops[i].kind),
                               "operator", opts.trace_parent);
-    FLEX_RETURN_NOT_OK(Apply(plan.ops[i], &rows, opts, op_span.id()));
+    FLEX_RETURN_NOT_OK(Apply(plan.ops[i], i == 0, &rows, opts, op_span.id()));
   }
   return rows;
 }
@@ -490,7 +462,7 @@ Result<std::vector<Batch>> Interpreter::RunRangeBatched(
     trace::ScopedSpan op_span(opts.trace, ir::OpKindName(plan.ops[i].kind),
                               "operator", opts.trace_parent);
     FLEX_RETURN_NOT_OK(
-        ApplyBatched(plan.ops[i], &batches, opts, op_span.id()));
+        ApplyBatched(plan.ops[i], i == 0, &batches, opts, op_span.id()));
   }
   return batches;
 }
@@ -499,7 +471,7 @@ Status Interpreter::ColumnarScan(const ir::Op& op, std::vector<Batch>* out,
                                  const ExecOptions& opts,
                                  uint64_t op_span) const {
   const grin::GrinGraph& g = *graph_;
-  // Same storage boundary as the row path: one read span and one fault
+  // Same storage boundary as the reference: one read span and one fault
   // site per scan-operator execution.
   trace::ScopedSpan read_span(opts.trace, "storage.read", "storage", op_span);
   if (FLEX_FAULT_POINT("storage.read")) {
@@ -510,8 +482,6 @@ Status Interpreter::ColumnarScan(const ir::Op& op, std::vector<Batch>* out,
   st.g = &g;
   st.opts = &opts;
   st.out = out;
-  st.windowed = opts.scan_begin != 0 ||
-                opts.scan_end != static_cast<size_t>(-1);
   if (op.label == kInvalidLabel) {
     for (size_t l = 0; l < g.schema().vertex_label_num(); ++l) {
       st.total += g.NumVerticesOfLabel(static_cast<label_t>(l));
@@ -519,12 +489,9 @@ Status Interpreter::ColumnarScan(const ir::Op& op, std::vector<Batch>* out,
   } else {
     st.total = g.NumVerticesOfLabel(op.label);
   }
-  auto done = [&]() {
-    return !st.status.ok() || st.exhausted ||
-           (st.windowed && st.position >= opts.scan_end);
-  };
   if (op.label == kInvalidLabel) {
-    for (size_t l = 0; l < g.schema().vertex_label_num() && !done(); ++l) {
+    const size_t labels = g.schema().vertex_label_num();
+    for (size_t l = 0; l < labels && st.status.ok() && !st.exhausted; ++l) {
       g.VisitVertices(static_cast<label_t>(l), nullptr, nullptr, &ScanVisit,
                       &st);
     }
@@ -560,8 +527,6 @@ Status Interpreter::ColumnarFusedScan(const ir::Op& op,
   st.opts = &opts;
   st.out = out;
   st.split = &split;
-  st.windowed =
-      opts.scan_begin != 0 || opts.scan_end != static_cast<size_t>(-1);
   st.total = g.NumVerticesOfLabel(op.label);
   st.tmp_row.push_back(ir::VertexRef{0});
   // Fused projection: property reads the backend can serve straight from
@@ -590,7 +555,8 @@ Status Interpreter::ColumnarFusedScan(const ir::Op& op,
   return st.status;
 }
 
-Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
+Status Interpreter::ApplyBatched(const ir::Op& op, bool leading,
+                                 std::vector<Batch>* batches,
                                  const ExecOptions& opts,
                                  uint64_t op_span) const {
   const grin::GrinGraph& g = *graph_;
@@ -599,7 +565,7 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
   // identical trace children and fault sites.
   auto bridge = [&](std::vector<Batch>* io) -> Status {
     std::vector<Row> rows = ir::BatchesToRows(*io);
-    FLEX_RETURN_NOT_OK(Apply(op, &rows, opts, op_span));
+    FLEX_RETURN_NOT_OK(Apply(op, leading, &rows, opts, op_span));
     *io = ir::RowsToBatches(rows);
     for (const Batch& b : *io) NoteBatch(b);
     return Status::OK();
@@ -607,7 +573,7 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
 
   switch (op.kind) {
     case ir::OpKind::kScan: {
-      if (ir::TotalSelected(*batches) > 0) {
+      if (!leading) {
         // Cartesian re-scans are rare and never position-sharded; the row
         // implementation handles them.
         return bridge(batches);
@@ -617,16 +583,13 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
         // Leading IndexScan, natively columnar: the common interactive
         // shape `(v:Label {id: $0})` resolves to at most one row, so the
         // row bridge's two conversions cost more than the scan itself.
-        // Same storage boundary as the row path: span and fault site open
-        // before the shard gate, exactly once per scan execution.
+        // Same storage boundary as the reference: one span and one fault
+        // site per scan execution.
         trace::ScopedSpan read_span(opts.trace, "storage.read", "storage",
                                     op_span);
         if (FLEX_FAULT_POINT("storage.read")) {
           return Status::DataLoss("storage.read fault injected at scan");
         }
-        // Index lookups are not position-sharded: only shard 0 resolves
-        // them, or every Gaia worker would emit the row.
-        if (opts.shard_index != 0) return Status::OK();
         const Row empty;
         const PropertyValue oid_value =
             op.id_lookup->Eval(empty, g, opts.params);
@@ -659,7 +622,7 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
     }
 
     case ir::OpKind::kFusedScan: {
-      if (ir::TotalSelected(*batches) > 0) {
+      if (!leading) {
         // Cartesian re-scan: the row implementation handles it (and opens
         // the fused marker span itself).
         return bridge(batches);
@@ -839,7 +802,7 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
         std::vector<Batch> one;
         one.push_back(std::move(batch));
         std::vector<Row> rows = ir::BatchesToRows(one);
-        FLEX_RETURN_NOT_OK(Apply(op, &rows, opts, op_span));
+        FLEX_RETURN_NOT_OK(Apply(op, false, &rows, opts, op_span));
         std::vector<Batch> rebuilt = ir::RowsToBatches(rows);
         for (Batch& b : rebuilt) {
           b.order_key = one[0].order_key;
@@ -1016,16 +979,17 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
   return Status::Internal("unknown operator");
 }
 
-Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
-                          const ExecOptions& opts, uint64_t op_span) const {
+Status Interpreter::Apply(const ir::Op& op, bool leading,
+                          std::vector<Row>* rows, const ExecOptions& opts,
+                          uint64_t op_span) const {
   const grin::GrinGraph& g = *graph_;
   switch (op.kind) {
     case ir::OpKind::kFusedScan:
     case ir::OpKind::kScan: {
-      // A fused scan runs the plain row scan unchanged (the row path is
-      // the Exp-2 A/B baseline): full predicate via Expr, folded
-      // projection applied after the enumeration. Only the marker span
-      // and counter record the fused shape.
+      // A fused scan runs the plain row scan unchanged (the reference
+      // evaluates no pushdown): full predicate via Expr, folded projection
+      // applied after the enumeration. Only the marker span and counter
+      // record the fused shape.
       std::optional<trace::ScopedSpan> fused_span;
       uint64_t scan_span = op_span;
       if (op.kind == ir::OpKind::kFusedScan) {
@@ -1043,15 +1007,8 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
       }
       std::vector<Row> out;
       std::vector<Row> base = std::move(*rows);
-      const bool leading = base.empty();
       if (leading) base.push_back({});
       if (op.id_lookup != nullptr) {
-        // Index lookups are not position-sharded: for a leading scan only
-        // shard 0 resolves it, or every Gaia worker would emit the row.
-        if (leading && opts.shard_index != 0) {
-          rows->clear();
-          return Status::OK();
-        }
         // IndexScan: resolve the id once per input row via the GRIN oid
         // index (kOidIndex trait) instead of enumerating the label.
         for (const Row& row : base) {
@@ -1080,14 +1037,6 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
         *rows = std::move(out);
         return Status::OK();
       }
-      // Scans after the first (cartesian start of a new MATCH) are rare
-      // and never sharded; only the leading scan honours shard options.
-      // Ownership of a position: the static [scan_begin, scan_end) window
-      // when narrowed (Gaia's order-preserving sharding), else the legacy
-      // modulo shard.
-      size_t position = 0;
-      const bool windowed = opts.scan_begin != 0 ||
-                            opts.scan_end != static_cast<size_t>(-1);
       auto emit_label = [&](label_t label) {
         struct Ctx {
           const ir::Op* op;
@@ -1095,19 +1044,11 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
           const ExecOptions* opts;
           std::vector<Row>* out;
           const std::vector<Row>* base;
-          size_t* position;
-          bool windowed;
-        } ctx{&op, &g, &opts, &out, &base, &position, windowed};
+        } ctx{&op, &g, &opts, &out, &base};
         g.VisitVertices(
             label, nullptr, nullptr,
             [](void* raw, vid_t v) -> bool {
               auto* c = static_cast<Ctx*>(raw);
-              const size_t pos = (*c->position)++;
-              const bool owned =
-                  c->windowed
-                      ? pos >= c->opts->scan_begin && pos < c->opts->scan_end
-                      : pos % c->opts->shard_count == c->opts->shard_index;
-              if (!owned) return true;
               for (const Row& row : *c->base) {
                 Row extended = row;
                 extended.push_back(ir::VertexRef{v});
@@ -1220,8 +1161,8 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
 
     case ir::OpKind::kFusedExpand:
     case ir::OpKind::kExpand: {
-      // Row mode runs the fused expand as the plain expand (full predicate
-      // per extended row — the A/B baseline) under its marker span.
+      // The reference runs the fused expand as the plain expand (full
+      // predicate per extended row) under its marker span.
       std::optional<trace::ScopedSpan> fused_span;
       if (op.kind == ir::OpKind::kFusedExpand) {
         FLEX_COUNTER_INC(metrics::kFusedExpandsTotal);
@@ -1386,9 +1327,7 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
                          return false;
                        });
       std::vector<Row> out;
-      const size_t take = op.limit == 0
-                              ? keyed.size()
-                              : std::min(op.limit, keyed.size());
+      const size_t take = std::min(op.limit, keyed.size());
       out.reserve(take);
       for (size_t i = 0; i < take; ++i) {
         out.push_back(std::move((*rows)[keyed[i].second]));

@@ -34,61 +34,48 @@ struct ScanMorselSource {
 struct ExecOptions {
   /// Bound values for $i parameters (stored procedures).
   std::vector<PropertyValue> params;
-  /// Data-parallel sharding of the leading SCAN. With the default window
-  /// below, this invocation only emits source vertices with
-  /// (position % shard_count) == shard_index. `shard_index` also gates
-  /// index scans: a leading id-lookup is resolved by shard 0 only.
-  size_t shard_index = 0;
-  size_t shard_count = 1;
-  /// Contiguous position window [scan_begin, scan_end) for the leading
-  /// SCAN. When narrowed from the full default range it replaces the
-  /// modulo sharding above; Gaia shards by windows so that concatenating
-  /// worker outputs in worker order preserves global scan order.
-  size_t scan_begin = 0;
-  size_t scan_end = static_cast<size_t>(-1);
-  /// Morsel-driven scan: when set, the leading columnar SCAN claims
-  /// windows from this shared source instead of using the static window.
+  /// Morsel-driven sharding of the leading columnar SCAN / FUSED_SCAN:
+  /// when set, the scan claims position windows from this shared source,
+  /// so the workers running one prefix partition the scan between them.
+  /// Null (the default) scans every vertex.
   ScanMorselSource* morsels = nullptr;
-  /// Columnar execution (~kBatchSize-tuple batches through the streaming
-  /// operators; blocking operators bridge through rows, bit-identically).
-  /// The row-at-a-time path remains as the Exp-2 A/B baseline.
-  bool vectorized = true;
-  /// Checked between operators — and, when vectorized, at batch
-  /// boundaries inside operators — execution stops with kDeadlineExceeded
-  /// / kCancelled instead of running further.
+  /// Checked between operators and at batch boundaries inside operators:
+  /// execution stops with kDeadlineExceeded / kCancelled instead of
+  /// running further.
   Deadline deadline;
   const CancellationToken* cancel = nullptr;
   /// Optional per-query trace: each operator records a span (name =
   /// OpKindName) under `trace_parent`, and scans nest a "storage.read"
-  /// child. Must outlive the call. Both execution paths produce the same
-  /// span tree shape.
+  /// child. Must outlive the call. The columnar path and the reference
+  /// (RunTupleAtATime) produce the same span tree shape.
   trace::Trace* trace = nullptr;
   uint64_t trace_parent = trace::kNoParent;
 };
 
-/// Reference executor for GraphIR plans over any GRIN backend. Both
-/// engines are built on it: Gaia runs the non-blocking prefix shard-wise
-/// and the blocking suffix after an exchange; HiActor runs whole (point)
-/// plans inside actor tasks.
+/// Executor for GraphIR plans over any GRIN backend. Both engines are
+/// built on its columnar path: Gaia runs the non-blocking prefix
+/// morsel-wise across workers and the blocking suffix after an exchange;
+/// HiActor runs whole (point) plans inside actor tasks.
 class Interpreter {
  public:
   explicit Interpreter(const grin::GrinGraph* graph) : graph_(graph) {}
 
-  /// Executes the full plan (vectorized by default; see ExecOptions).
+  /// Executes the full plan over columnar batches.
   Result<std::vector<ir::Row>> Run(const ir::Plan& plan,
                                    const ExecOptions& opts = {}) const;
 
-  /// Executes ops [begin, end) of the plan starting from `input` rows,
-  /// one row-vector at a time (the legacy scalar path).
-  Result<std::vector<ir::Row>> RunRange(const ir::Plan& plan, size_t begin,
-                                        size_t end, std::vector<ir::Row> input,
-                                        const ExecOptions& opts) const;
+  /// Executes the full plan one row at a time, single-threaded and
+  /// unsharded (`opts.morsels` is ignored). This is the reference the
+  /// columnar path is held to: NaiveGraphDB runs on it, and the parity
+  /// suites require Run to match it bit for bit.
+  Result<std::vector<ir::Row>> RunTupleAtATime(
+      const ir::Plan& plan, const ExecOptions& opts = {}) const;
 
-  /// Executes ops [begin, end) over columnar batches. Streaming operators
-  /// (SCAN, EXPAND, GETV, PROJECT, SELECT) run batch-at-a-time with
-  /// filters refining the shared selection vector; blocking operators and
-  /// variable-length expansion bridge through the row representation, so
-  /// results are bit-identical to RunRange.
+  /// Executes ops [begin, end) over columnar batches. SCAN, EXPAND, GETV,
+  /// PROJECT, SELECT and GROUP run natively, with filters refining the
+  /// shared selection vector; ORDER / LIMIT / DEDUP and variable-length
+  /// expansion bridge through the row operators, so results are
+  /// bit-identical to RunTupleAtATime.
   Result<std::vector<ir::Batch>> RunRangeBatched(const ir::Plan& plan,
                                                  size_t begin, size_t end,
                                                  std::vector<ir::Batch> input,
@@ -98,16 +85,21 @@ class Interpreter {
   static bool IsBlocking(const ir::Op& op);
 
  private:
-  Status Apply(const ir::Op& op, std::vector<ir::Row>* rows,
+  /// One operator of the tuple-at-a-time reference. `leading` is true
+  /// for the plan's first operator: a leading scan produces rows from
+  /// nothing, while a later scan extends each input row (a cartesian
+  /// product) and so yields nothing from no rows.
+  Status Apply(const ir::Op& op, bool leading, std::vector<ir::Row>* rows,
                const ExecOptions& opts, uint64_t op_span) const;
 
-  Status ApplyBatched(const ir::Op& op, std::vector<ir::Batch>* batches,
-                      const ExecOptions& opts, uint64_t op_span) const;
+  Status ApplyBatched(const ir::Op& op, bool leading,
+                      std::vector<ir::Batch>* batches, const ExecOptions& opts,
+                      uint64_t op_span) const;
 
   Status ColumnarScan(const ir::Op& op, std::vector<ir::Batch>* out,
                       const ExecOptions& opts, uint64_t op_span) const;
 
-  /// FUSED_SCAN, vectorized: splits the predicate into pushed conjuncts
+  /// FUSED_SCAN, columnar: splits the predicate into pushed conjuncts
   /// (evaluated by the backend inside its scan loop, filtered-out rows
   /// never materialize) and residual conjuncts, and builds folded
   /// projection output directly from natively gathered property columns.

@@ -125,14 +125,11 @@ Result<std::vector<ir::Row>> QueryService::Run(
       [&](std::vector<PropertyValue> p) -> Result<std::vector<ir::Row>> {
     if (options.engine == EngineKind::kGaia) {
       return gaia_.Run(*shared_plan, std::move(p), options.deadline,
-                       options.cancel, options.trace, execute_span.id(),
-                       options.vectorized ? runtime::ExecMode::kBatched
-                                          : runtime::ExecMode::kRowAtATime);
+                       options.cancel, options.trace, execute_span.id());
     }
     runtime::QueryTask task;
     task.plan = shared_plan;
     task.params = std::move(p);
-    task.vectorized = options.vectorized;
     task.deadline = options.deadline;
     task.cancel = options.cancel;
     task.trace = options.trace;
@@ -207,8 +204,7 @@ Result<std::vector<ir::Row>> NaiveGraphDB::RunPlan(
   Interpreter interpreter(graph_);
   ExecOptions opts;
   opts.params = std::move(params);
-  opts.vectorized = false;  // Tuple-at-a-time is the point of the baseline.
-  return interpreter.Run(plan, opts);
+  return interpreter.RunTupleAtATime(plan, opts);
 }
 
 }  // namespace flex::query

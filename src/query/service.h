@@ -25,10 +25,6 @@ enum class EngineKind { kGaia, kHiActor };
 /// Per-query execution policy for QueryService::Run.
 struct RunOptions {
   EngineKind engine = EngineKind::kGaia;
-  /// Columnar (batch-at-a-time) execution; false selects the legacy
-  /// row-at-a-time path. Results are bit-identical either way (the Exp-2
-  /// A/B switch).
-  bool vectorized = true;
   /// Propagated through the engine into every operator boundary (and, for
   /// analytics, superstep boundary). Infinite by default.
   Deadline deadline;
@@ -136,8 +132,9 @@ class QueryService {
 
 /// Conventional-graph-database baseline for Exp-2 (stands in for the
 /// paper's audited comparators): same storage and parser, but no query
-/// optimization, tuple-at-a-time single-threaded execution, and one
-/// global lock serializing all queries.
+/// optimization, tuple-at-a-time single-threaded execution
+/// (Interpreter::RunTupleAtATime), and one global lock serializing all
+/// queries.
 class NaiveGraphDB {
  public:
   explicit NaiveGraphDB(const grin::GrinGraph* graph) : graph_(graph) {}

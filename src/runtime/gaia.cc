@@ -33,7 +33,7 @@ class ShardLatch {
 };
 
 /// A scan inside the prefix (cartesian restart of a new MATCH) must see
-/// every vertex in every worker; position-sharding would drop rows. Such
+/// every vertex in every worker; morsel-sharding would drop rows. Such
 /// plans run single-threaded.
 bool HasInnerScan(const ir::Plan& plan, size_t split) {
   for (size_t i = 1; i < split; ++i) {
@@ -43,19 +43,6 @@ bool HasInnerScan(const ir::Plan& plan, size_t split) {
     }
   }
   return false;
-}
-
-/// Scan positions the leading scan enumerates (label-major, like the
-/// interpreter).
-size_t ScanTotal(const grin::GrinGraph& g, const ir::Op& scan) {
-  if (scan.label == kInvalidLabel) {
-    size_t total = 0;
-    for (size_t l = 0; l < g.schema().vertex_label_num(); ++l) {
-      total += g.NumVerticesOfLabel(static_cast<label_t>(l));
-    }
-    return total;
-  }
-  return g.NumVerticesOfLabel(scan.label);
 }
 
 }  // namespace
@@ -69,22 +56,20 @@ GaiaEngine::GaiaEngine(const grin::GrinGraph* graph, size_t num_workers)
 Result<std::vector<ir::Row>> GaiaEngine::Run(
     const ir::Plan& plan, std::vector<PropertyValue> params,
     Deadline deadline, const CancellationToken* cancel, trace::Trace* trace,
-    uint64_t trace_parent, ExecMode mode) const {
+    uint64_t trace_parent) const {
   // Admission: a dead-on-arrival query must not reach the workers.
   FLEX_RETURN_NOT_OK(CheckRunnable(deadline, cancel, "gaia"));
   trace::ScopedSpan engine_span(trace, "gaia", "engine", trace_parent);
   query::Interpreter interpreter(graph_);
-  // Cost-based strategy selection: columnar batches amortize their
-  // scaffolding (column allocation, selection vectors, gather) over rows.
-  // When the optimizer's estimate says every intermediate stays below a
-  // few rows — point lookups and their immediate neighborhoods — the
-  // tuple-at-a-time path is strictly cheaper, so a batched request runs
-  // row-wise. Results are bit-identical in either mode by construction;
-  // only the execution strategy changes.
-  constexpr double kBatchedRowFloor = 8.0;
-  const bool vectorized = mode == ExecMode::kBatched &&
-                          (plan.estimated_peak_rows < 0.0 ||
-                           plan.estimated_peak_rows >= kBatchedRowFloor);
+  auto options = [&](uint64_t parent) {
+    query::ExecOptions opts;
+    opts.params = params;
+    opts.deadline = deadline;
+    opts.cancel = cancel;
+    opts.trace = trace;
+    opts.trace_parent = parent;
+    return opts;
+  };
 
   // Split at the first blocking (exchange-requiring) operator.
   size_t split = plan.ops.size();
@@ -95,150 +80,68 @@ Result<std::vector<ir::Row>> GaiaEngine::Run(
     }
   }
 
-  // An id-pinned leading scan resolves through the oid index on shard 0
-  // only (the other shards' scans yield nothing), so sharding such a plan
-  // buys no parallelism and pays dispatch + latch on every query — the
-  // dominant cost for point lookups. Run it single-threaded instead.
+  // An id-pinned leading scan resolves at most one row through the oid
+  // index, so sharding such a plan buys no parallelism and pays dispatch +
+  // latch on every query — the dominant cost for point lookups. Run it
+  // single-threaded instead.
   const bool shardable = pool_ != nullptr && !plan.ops.empty() &&
                          (plan.ops[0].kind == ir::OpKind::kScan ||
                           plan.ops[0].kind == ir::OpKind::kFusedScan) &&
                          plan.ops[0].id_lookup == nullptr && split > 0 &&
                          !HasInnerScan(plan, split);
-  if (!shardable) {
-    query::ExecOptions opts;
-    opts.params = std::move(params);
-    opts.vectorized = vectorized;
-    opts.deadline = deadline;
-    opts.cancel = cancel;
-    opts.trace = trace;
-    opts.trace_parent = engine_span.id();
-    return interpreter.Run(plan, opts);
-  }
+  if (!shardable) return interpreter.Run(plan, options(engine_span.id()));
 
-  const size_t total = ScanTotal(*graph_, plan.ops[0]);
-  std::vector<ir::Row> merged;
-  if (vectorized) {
-    // Morsel-driven prefix: every worker pulls contiguous scan windows
-    // from one shared source, so load balances dynamically and no worker
-    // idles on a skewed shard.
-    query::ScanMorselSource morsels;
-    std::vector<Result<std::vector<ir::Batch>>> partials(
-        num_workers_,
-        Result<std::vector<ir::Batch>>(std::vector<ir::Batch>{}));
-    ShardLatch latch(num_workers_);
-    for (size_t w = 0; w < num_workers_; ++w) {
-      pool_->Submit([&, w] {
-        {
-          // Scoped so the span ends before CountDown: the waiter may read
-          // the trace the instant the latch releases.
-          trace::ScopedSpan shard_span(trace,
-                                       "gaia.shard[" + std::to_string(w) + "]",
-                                       "engine", engine_span.id());
-          query::ExecOptions opts;
-          opts.params = params;
-          opts.shard_index = w;  // Gates index scans to one resolver.
-          opts.shard_count = num_workers_;
-          opts.morsels = &morsels;
-          opts.vectorized = true;
-          opts.deadline = deadline;
-          opts.cancel = cancel;
-          opts.trace = trace;
-          opts.trace_parent = shard_span.id();
-          partials[w] = interpreter.RunRangeBatched(plan, 0, split, {}, opts);
-        }
-        latch.CountDown();
-      });
-    }
-    latch.Wait();
-    // Exchange: concatenate the worker batch lists and restore global
-    // scan order by order_key. Each scan window was claimed by exactly
-    // one worker and batches never span windows, so the sort reproduces
-    // the single-threaded row order exactly (stable: a worker's own
-    // batches are already ordered, and EXPAND outputs inherit their
-    // source batch's key).
-    std::vector<ir::Batch> all;
-    {
-      trace::ScopedSpan exchange_span(trace, "gaia.exchange", "engine",
-                                      engine_span.id());
-      for (auto& partial : partials) {
-        FLEX_RETURN_NOT_OK(partial.status());
-        auto batches = std::move(partial).value();
-        all.insert(all.end(), std::make_move_iterator(batches.begin()),
-                   std::make_move_iterator(batches.end()));
+  // Morsel-driven prefix: every worker pulls contiguous scan windows from
+  // one shared source, so load balances dynamically and no worker idles
+  // on a skewed shard.
+  query::ScanMorselSource morsels;
+  std::vector<Result<std::vector<ir::Batch>>> partials(
+      num_workers_, Result<std::vector<ir::Batch>>(std::vector<ir::Batch>{}));
+  ShardLatch latch(num_workers_);
+  for (size_t w = 0; w < num_workers_; ++w) {
+    pool_->Submit([&, w] {
+      {
+        // Scoped so the span ends before CountDown: the waiter may read
+        // the trace the instant the latch releases.
+        trace::ScopedSpan shard_span(trace,
+                                     "gaia.shard[" + std::to_string(w) + "]",
+                                     "engine", engine_span.id());
+        query::ExecOptions opts = options(shard_span.id());
+        opts.morsels = &morsels;
+        partials[w] = interpreter.RunRangeBatched(plan, 0, split, {}, opts);
       }
-      std::stable_sort(all.begin(), all.end(),
-                       [](const ir::Batch& a, const ir::Batch& b) {
-                         return a.order_key < b.order_key;
-                       });
-    }
-    // Blocking suffix, still columnar: GROUP aggregates natively over the
-    // order-restored batches instead of forcing a row bridge; ORDER /
-    // LIMIT / DEDUP bridge through rows inside RunRangeBatched,
-    // bit-identically to the row suffix.
-    query::ExecOptions sopts;
-    sopts.params = std::move(params);
-    sopts.vectorized = true;
-    sopts.deadline = deadline;
-    sopts.cancel = cancel;
-    sopts.trace = trace;
-    sopts.trace_parent = engine_span.id();
-    auto suffix = interpreter.RunRangeBatched(plan, split, plan.ops.size(),
-                                              std::move(all), sopts);
-    FLEX_RETURN_NOT_OK(suffix.status());
-    return ir::BatchesToRows(suffix.value());
-  } else {
-    // Row-mode prefix: one contiguous scan window per worker, so the
-    // exchange's concatenation in worker order preserves global scan
-    // order — the same order the batched mode reconstructs.
-    std::vector<Result<std::vector<ir::Row>>> partials(
-        num_workers_, Result<std::vector<ir::Row>>(std::vector<ir::Row>{}));
-    ShardLatch latch(num_workers_);
-    for (size_t w = 0; w < num_workers_; ++w) {
-      pool_->Submit([&, w] {
-        {
-          // Scoped so the span ends before CountDown: the waiter may read
-          // the trace the instant the latch releases.
-          trace::ScopedSpan shard_span(trace,
-                                       "gaia.shard[" + std::to_string(w) + "]",
-                                       "engine", engine_span.id());
-          query::ExecOptions opts;
-          opts.params = params;
-          opts.shard_index = w;  // Gates index scans to one resolver.
-          opts.shard_count = num_workers_;
-          opts.scan_begin = w * total / num_workers_;
-          opts.scan_end = (w + 1) * total / num_workers_;
-          opts.vectorized = false;
-          opts.deadline = deadline;
-          opts.cancel = cancel;
-          opts.trace = trace;
-          opts.trace_parent = shard_span.id();
-          partials[w] = interpreter.RunRange(plan, 0, split, {}, opts);
-        }
-        latch.CountDown();
-      });
-    }
-    latch.Wait();
+      latch.CountDown();
+    });
+  }
+  latch.Wait();
+  // Exchange: concatenate the worker batch lists and restore global scan
+  // order by order_key. Each scan window was claimed by exactly one worker
+  // and batches never span windows, so the sort reproduces the
+  // single-threaded row order exactly (stable: a worker's own batches are
+  // already ordered, and EXPAND outputs inherit their source batch's key).
+  std::vector<ir::Batch> all;
+  {
     trace::ScopedSpan exchange_span(trace, "gaia.exchange", "engine",
                                     engine_span.id());
     for (auto& partial : partials) {
       FLEX_RETURN_NOT_OK(partial.status());
-      auto rows = std::move(partial).value();
-      merged.insert(merged.end(), std::make_move_iterator(rows.begin()),
-                    std::make_move_iterator(rows.end()));
+      auto batches = std::move(partial).value();
+      all.insert(all.end(), std::make_move_iterator(batches.begin()),
+                 std::make_move_iterator(batches.end()));
     }
+    std::stable_sort(all.begin(), all.end(),
+                     [](const ir::Batch& a, const ir::Batch& b) {
+                       return a.order_key < b.order_key;
+                     });
   }
-
-  // Blocking suffix: starts with a blocking operator, which the batched
-  // path would bridge through rows anyway, so both modes run it row-wise.
-  query::ExecOptions opts;
-  opts.params = std::move(params);
-  opts.vectorized = false;
-  opts.deadline = deadline;
-  opts.cancel = cancel;
-  opts.trace = trace;
-  opts.trace_parent = engine_span.id();
-  return interpreter.RunRange(plan, split, plan.ops.size(), std::move(merged),
-                              opts);
+  // Blocking suffix, still columnar: GROUP aggregates natively over the
+  // order-restored batches; ORDER / LIMIT / DEDUP bridge through rows
+  // inside RunRangeBatched, bit-identically to the reference.
+  auto suffix = interpreter.RunRangeBatched(plan, split, plan.ops.size(),
+                                            std::move(all),
+                                            options(engine_span.id()));
+  FLEX_RETURN_NOT_OK(suffix.status());
+  return ir::BatchesToRows(suffix.value());
 }
 
 }  // namespace flex::runtime

@@ -9,23 +9,19 @@
 
 namespace flex::runtime {
 
-/// Execution mode for one GaiaEngine::Run: columnar batches (the default)
-/// or the legacy row-at-a-time path, kept as the Exp-2 A/B baseline. Both
-/// modes return bit-identical rows at any worker count.
-enum class ExecMode { kBatched, kRowAtATime };
-
 /// Gaia-like dataflow engine (§5.3): the OLAP path. A physical plan is cut
 /// at its first blocking operator; the streaming prefix (SOURCE →
-/// FLATMAP/MAP/FILTER chain) runs data-parallel across workers, each
-/// owning a shard of the source scan, and the blocking suffix (ORDER /
-/// GROUP / LIMIT / DEDUP and everything after) runs after an exchange that
-/// gathers the shards — the latency-oriented data-parallel design the
-/// paper contrasts with HiActor's throughput orientation.
+/// FLATMAP/MAP/FILTER chain) runs data-parallel across workers, and the
+/// blocking suffix (ORDER / GROUP / LIMIT / DEDUP and everything after)
+/// runs after an exchange that gathers their output — the
+/// latency-oriented data-parallel design the paper contrasts with
+/// HiActor's throughput orientation.
 ///
-/// In batched mode the prefix is morsel-driven: workers claim contiguous
-/// scan windows from a shared atomic source and stream ~kBatchSize
-/// columnar batches; the exchange concatenates the batch lists and
-/// restores global scan order by each batch's order_key.
+/// The prefix is morsel-driven: workers claim contiguous scan windows from
+/// a shared atomic source and stream ~kBatchSize columnar batches; the
+/// exchange concatenates the batch lists and restores global scan order by
+/// each batch's order_key, so results are bit-identical at any worker
+/// count.
 class GaiaEngine {
  public:
   GaiaEngine(const grin::GrinGraph* graph, size_t num_workers);
@@ -33,18 +29,15 @@ class GaiaEngine {
   /// Runs `plan`. An already-expired deadline (or cancelled token) is
   /// rejected up front with kDeadlineExceeded / kCancelled before any
   /// operator executes; during execution both are re-checked at every
-  /// operator boundary — and, in batched mode, at batch boundaries —
-  /// in every shard.
+  /// operator and batch boundary in every worker.
   ///
   /// When `trace` is non-null, a "gaia" span is recorded under
-  /// `trace_parent` with per-shard / exchange / suffix children; the span
-  /// tree has the same shape in both execution modes.
+  /// `trace_parent` with per-shard / exchange / suffix children.
   Result<std::vector<ir::Row>> Run(
       const ir::Plan& plan, std::vector<PropertyValue> params = {},
       Deadline deadline = {}, const CancellationToken* cancel = nullptr,
       trace::Trace* trace = nullptr,
-      uint64_t trace_parent = trace::kNoParent,
-      ExecMode mode = ExecMode::kBatched) const;
+      uint64_t trace_parent = trace::kNoParent) const;
 
   size_t num_workers() const { return num_workers_; }
 

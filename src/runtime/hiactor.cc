@@ -110,11 +110,11 @@ Result<std::vector<ir::Row>> HiActorEngine::Execute(QueryTask task) {
   return Submit(std::move(task)).get();
 }
 
-bool HiActorEngine::TryRunOne(size_t shard_index) {
+bool HiActorEngine::TryRunOne(size_t home) {
   // Own queue first, then steal from peers (the work-stealing scheduler
   // HiActor uses to balance skewed query streams).
   for (size_t probe = 0; probe < shards_.size(); ++probe) {
-    const size_t s = (shard_index + probe) % shards_.size();
+    const size_t s = (home + probe) % shards_.size();
     Task task;
     {
       MutexLock lock(&shards_[s]->mu);
@@ -162,7 +162,6 @@ bool HiActorEngine::TryRunOne(size_t shard_index) {
                                    "engine", task.query.trace_parent);
     query::ExecOptions opts;
     opts.params = std::move(task.query.params);
-    opts.vectorized = task.query.vectorized;
     opts.deadline = task.query.deadline;
     opts.cancel = task.query.cancel;
     opts.trace = task.query.trace;
@@ -177,9 +176,9 @@ bool HiActorEngine::TryRunOne(size_t shard_index) {
   return false;
 }
 
-void HiActorEngine::WorkerLoop(size_t shard_index) {
+void HiActorEngine::WorkerLoop(size_t home) {
   while (!stop_.load(std::memory_order_acquire)) {
-    if (TryRunOne(shard_index)) continue;
+    if (TryRunOne(home)) continue;
     MutexLock lock(&wake_mu_);
     while (!stop_.load(std::memory_order_acquire) &&
            pending_.load(std::memory_order_acquire) == 0) {
@@ -189,7 +188,7 @@ void HiActorEngine::WorkerLoop(size_t shard_index) {
     // the outer loop re-probes the queues and comes back if empty.
   }
   // Drain remaining tasks so no future is abandoned.
-  while (TryRunOne(shard_index)) {
+  while (TryRunOne(home)) {
   }
 }
 

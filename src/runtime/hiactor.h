@@ -25,9 +25,6 @@ struct QueryTask {
   /// Overrides the engine's default graph (e.g. a fresh GART snapshot);
   /// the shared_ptr keeps the snapshot alive until the task completes.
   std::shared_ptr<const grin::GrinGraph> graph;
-  /// Columnar execution (see ExecOptions::vectorized); false selects the
-  /// row-at-a-time baseline. Results are bit-identical either way.
-  bool vectorized = true;
   /// Checked at submission, again at dispatch, and between operators while
   /// the task runs. An already-expired deadline is rejected at Submit.
   Deadline deadline;
@@ -100,8 +97,8 @@ class HiActorEngine {
     std::deque<Task> queue GUARDED_BY(mu);
   };
 
-  void WorkerLoop(size_t shard_index);
-  bool TryRunOne(size_t shard_index);
+  void WorkerLoop(size_t home);
+  bool TryRunOne(size_t home);
 
   const grin::GrinGraph* default_graph_;
   std::vector<std::unique_ptr<Shard>> shards_;

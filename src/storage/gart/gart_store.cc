@@ -626,7 +626,7 @@ class GartSnapshot final : public grin::GrinGraph {
 
   /// Batched override: the scalar accessor pays a shared_lock acquisition
   /// per vertex; one acquisition amortized over the span is the dominant
-  /// saving for vectorized SELECT / PROJECT over GART.
+  /// saving for columnar SELECT / PROJECT over GART.
   void GetVerticesProperties(std::span<const vid_t> vids, size_t col,
                              PropertyValue* out) const override {
     std::shared_lock<std::shared_mutex> lock(store_->mu_);

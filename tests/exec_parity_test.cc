@@ -1,13 +1,14 @@
 // Exp-2 parity harness: every SNB interactive and BI query must produce
-// bit-identical result rows under the columnar (batched) path and the
-// legacy row-at-a-time path, at 1 shard and at 4 shards, and the two modes
-// must record the same trace span shapes — batching is an execution-layer
-// change only, invisible to results and to observability. Each query runs
-// both with pipeline fusion (FUSED_SCAN / FUSED_EXPAND pushdown) and with
-// fusion disabled, and the two plans must agree row-for-row across every
-// (worker, mode) combination: fusion is a plan-shape change only. Span
-// shapes are compared within one plan (a fused plan legitimately records
-// op.fused_* marker spans the unfused plan does not).
+// result rows bit-identical, in row order, to the tuple-at-a-time
+// reference (Interpreter::RunTupleAtATime) when run on batched Gaia at 1
+// worker and at 4 workers, and the 1-worker run must record the
+// reference's operator span shape under its "gaia" span — batching is an
+// execution-layer change only, invisible to results and to observability.
+// Each query runs both with pipeline fusion (FUSED_SCAN / FUSED_EXPAND
+// pushdown) and with fusion disabled, and the two plans must agree
+// row-for-row: fusion is a plan-shape change only. Span shapes are
+// compared within one plan (a fused plan legitimately records op.fused_*
+// marker spans the unfused plan does not).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,56 +59,55 @@ class ExecParityTest : public ::testing::Test {
     store_ = storage::VineyardStore::Build(data).value().release();
     graph_ = store_->GetGrinHandle().release();
     service_ = new QueryService(graph_, 1);
+    gaia1_ = new runtime::GaiaEngine(graph_, 1);
+    gaia4_ = new runtime::GaiaEngine(graph_, 4);
   }
   static void TearDownTestSuite() {
+    delete gaia4_;
+    delete gaia1_;
     delete service_;
     delete graph_;
     delete store_;
     delete stats_;
   }
 
-  /// Runs one plan through every (worker count, execution mode)
-  /// combination with one shared parameter draw and asserts:
-  ///   - result rows are bit-identical across all four combinations, and
-  ///   - at each worker count, row and batched mode record identical span
-  ///     shapes (shapes legitimately differ *across* worker counts: 4
-  ///     shards add gaia.shard/gaia.exchange spans).
-  /// `reference` receives the rows of the first combination.
-  static void RunPlanAllModes(const ir::Plan& plan,
-                              const std::vector<PropertyValue>& params,
-                              const std::string& name,
-                              std::vector<std::string>* reference) {
-    bool have_reference = false;
-    for (size_t workers : {size_t{1}, size_t{4}}) {
-      runtime::GaiaEngine engine(graph_, workers);
-      std::vector<std::vector<std::string>> results;
-      std::vector<std::vector<std::string>> shapes;
-      for (runtime::ExecMode mode :
-           {runtime::ExecMode::kRowAtATime, runtime::ExecMode::kBatched}) {
-        trace::Trace trace(name);
-        auto rows = engine.Run(plan, params, {}, nullptr, &trace,
-                               trace::kNoParent, mode);
-        ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-        results.push_back(RowsToStrings(rows.value()));
-        shapes.push_back(SpanShape(trace));
-      }
-      EXPECT_EQ(results[0], results[1])
-          << "row vs batched rows diverge at " << workers << " worker(s)";
-      EXPECT_EQ(shapes[0], shapes[1])
-          << "row vs batched span shapes diverge at " << workers
-          << " worker(s)";
-      if (!have_reference) {
-        *reference = results[0];
-        have_reference = true;
-      } else {
-        EXPECT_EQ(results[0], *reference)
-            << "rows diverge across worker counts";
-      }
+  /// Runs one plan on the reference and on batched Gaia at 1 and 4
+  /// workers with one shared parameter draw, and asserts:
+  ///   - both Gaia runs return the reference's rows, in order, and
+  ///   - the 1-worker Gaia trace has the reference's span shape. The
+  ///     reference runs under a "gaia" root so the two trees line up; 4
+  ///     workers legitimately add gaia.shard / gaia.exchange spans.
+  /// `reference` receives the reference rows.
+  static void RunPlanAllEngines(const ir::Plan& plan,
+                                const std::vector<PropertyValue>& params,
+                                const std::string& name,
+                                std::vector<std::string>* reference) {
+    trace::Trace reference_trace(name);
+    {
+      trace::ScopedSpan root(&reference_trace, "gaia", "engine");
+      ExecOptions opts;
+      opts.params = params;
+      opts.trace = &reference_trace;
+      opts.trace_parent = root.id();
+      auto rows = Interpreter(graph_).RunTupleAtATime(plan, opts);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      *reference = RowsToStrings(rows.value());
     }
+    trace::Trace gaia_trace(name);
+    auto one = gaia1_->Run(plan, params, {}, nullptr, &gaia_trace);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_EQ(RowsToStrings(one.value()), *reference)
+        << "1-worker Gaia diverges from the reference";
+    EXPECT_EQ(SpanShape(gaia_trace), SpanShape(reference_trace))
+        << "1-worker Gaia span shape diverges from the reference";
+    auto four = gaia4_->Run(plan, params);
+    ASSERT_TRUE(four.ok()) << four.status().ToString();
+    EXPECT_EQ(RowsToStrings(four.value()), *reference)
+        << "4-worker Gaia diverges from the reference";
   }
 
   /// Compiles `spec` with fusion on (the service default) and off, runs
-  /// both plans through every combination, and asserts the two plans agree
+  /// both plans through every engine, and asserts the two plans agree
   /// row-for-row: pushdown must never change results.
   static void CheckParity(const snb::QuerySpec& spec) {
     SCOPED_TRACE(spec.name);
@@ -125,9 +125,9 @@ class ExecParityTest : public ::testing::Test {
     const std::vector<PropertyValue> params = spec.params(rng, *stats_);
 
     std::vector<std::string> fused_rows;
-    RunPlanAllModes(fused.value(), params, spec.name, &fused_rows);
+    RunPlanAllEngines(fused.value(), params, spec.name, &fused_rows);
     std::vector<std::string> unfused_rows;
-    RunPlanAllModes(unfused, params, spec.name, &unfused_rows);
+    RunPlanAllEngines(unfused, params, spec.name, &unfused_rows);
     EXPECT_EQ(fused_rows, unfused_rows) << "fusion changed result rows";
   }
 
@@ -135,12 +135,16 @@ class ExecParityTest : public ::testing::Test {
   static storage::VineyardStore* store_;
   static grin::GrinGraph* graph_;
   static QueryService* service_;
+  static runtime::GaiaEngine* gaia1_;
+  static runtime::GaiaEngine* gaia4_;
 };
 
 snb::SnbStats* ExecParityTest::stats_ = nullptr;
 storage::VineyardStore* ExecParityTest::store_ = nullptr;
 grin::GrinGraph* ExecParityTest::graph_ = nullptr;
 QueryService* ExecParityTest::service_ = nullptr;
+runtime::GaiaEngine* ExecParityTest::gaia1_ = nullptr;
+runtime::GaiaEngine* ExecParityTest::gaia4_ = nullptr;
 
 TEST_F(ExecParityTest, InteractiveComplexQueries) {
   for (const auto& spec : snb::InteractiveComplexQueries()) CheckParity(spec);

@@ -2,7 +2,9 @@
 
 #include "common/random.h"
 #include "grape/message_manager.h"
+#include "optimizer/optimizer.h"
 #include "query/interpreter.h"
+#include "runtime/gaia.h"
 #include "storage/vineyard/vineyard_store.h"
 
 namespace flex::query {
@@ -144,35 +146,14 @@ TEST_F(InterpreterOpTest, ExpandIntoFiltersNonEdges) {
   ASSERT_EQ(cycles.size(), 3u);  // Each rotation of the 0->1->3->0 cycle.
 }
 
-TEST_F(InterpreterOpTest, ShardingPartitionsScanExactly) {
-  PlanBuilder b;
-  b.Scan("a", 0);
-  std::vector<ExprPtr> out;
-  out.push_back(Expr::VertexId(0));
-  b.Project(std::move(out), {"id"});
-  ir::Plan plan = b.Build();
-  Interpreter interp(graph_.get());
-  std::vector<std::string> merged;
-  for (size_t shard = 0; shard < 3; ++shard) {
-    ExecOptions opts;
-    opts.shard_index = shard;
-    opts.shard_count = 3;
-    auto rows = interp.Run(plan, opts).value();
-    for (auto& line : RowsToStrings(rows)) merged.push_back(line);
-  }
-  std::sort(merged.begin(), merged.end());
-  EXPECT_EQ(merged, (std::vector<std::string>{"0", "1", "2", "3", "4"}));
-}
-
 TEST_F(InterpreterOpTest, RowAndBatchedPathsAgree) {
   // One plan per streaming/blocking operator shape; each must produce
-  // bit-identical rows under the columnar path and the row-at-a-time path.
+  // bit-identical rows under the columnar path and the tuple-at-a-time
+  // reference.
   auto both = [&](ir::Plan plan) {
     Interpreter interp(graph_.get());
-    ExecOptions row_opts;
-    row_opts.vectorized = false;
-    auto row = interp.Run(plan, row_opts);
-    auto batched = interp.Run(plan);  // Vectorized is the default.
+    auto row = interp.RunTupleAtATime(plan);
+    auto batched = interp.Run(plan);
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
     EXPECT_EQ(RowsToStrings(row.value()), RowsToStrings(batched.value()));
@@ -251,9 +232,7 @@ TEST_F(InterpreterOpTest, BatchedPathCrossesBatchBoundaries) {
   const ir::Plan plan = b.Build();
 
   Interpreter interp(graph.get());
-  ExecOptions row_opts;
-  row_opts.vectorized = false;
-  auto row = interp.Run(plan, row_opts);
+  auto row = interp.RunTupleAtATime(plan);
   auto batched = interp.Run(plan);
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(batched.ok());
@@ -276,7 +255,7 @@ TEST_F(InterpreterOpTest, SumStaysExactAboveDoublePrecision) {
   auto store = storage::VineyardStore::Build(data).value();
   auto graph = store->GetGrinHandle();
 
-  for (const bool vectorized : {false, true}) {
+  for (const bool reference : {true, false}) {
     PlanBuilder b;
     b.Scan("a", 0);
     std::vector<ir::AggSpec> aggs;
@@ -286,38 +265,77 @@ TEST_F(InterpreterOpTest, SumStaysExactAboveDoublePrecision) {
     spec.name = "sum";
     aggs.push_back(std::move(spec));
     b.Group({}, {}, std::move(aggs));
+    const ir::Plan plan = b.Build();
     Interpreter interp(graph.get());
-    ExecOptions opts;
-    opts.vectorized = vectorized;
-    auto rows = interp.Run(b.Build(), opts);
+    auto rows = reference ? interp.RunTupleAtATime(plan) : interp.Run(plan);
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(RowsToStrings(rows.value()),
               (std::vector<std::string>{"9007199254740994"}));
   }
 }
 
-TEST_F(InterpreterOpTest, WindowedShardingPartitionsScanExactly) {
-  // The batched engine shards row-mode scans by contiguous windows; the
-  // windows must tile the scan with no overlap and preserve scan order.
-  PlanBuilder b;
-  b.Scan("a", 0);
-  std::vector<ExprPtr> out;
-  out.push_back(Expr::VertexId(0));
-  b.Project(std::move(out), {"id"});
-  const ir::Plan plan = b.Build();
-  Interpreter interp(graph_.get());
-  std::vector<std::string> merged;
-  const size_t bounds[] = {0, 2, 5};
-  for (size_t w = 0; w < 2; ++w) {
-    ExecOptions opts;
-    opts.vectorized = false;
-    opts.scan_begin = bounds[w];
-    opts.scan_end = bounds[w + 1];
-    auto rows = interp.Run(plan, opts).value();
-    for (auto& line : RowsToStrings(rows)) merged.push_back(line);
+TEST_F(InterpreterOpTest, GaiaMorselWorkersMatchReference) {
+  // 3000 vertices span three morsel windows, so four concurrent Gaia
+  // workers race on the shared claim helper; the exchange must restore
+  // exactly the reference's row order for both scan shapes.
+  PropertyGraphData data;
+  label_t v =
+      data.schema.AddVertexLabel("V", {{"x", PropertyType::kInt64}}).value();
+  for (oid_t i = 0; i < 3000; ++i) {
+    data.AddVertex(v, i, {PropertyValue(static_cast<int64_t>(i))});
   }
-  // Concatenating window results in window order IS global scan order.
-  EXPECT_EQ(merged, (std::vector<std::string>{"0", "1", "2", "3", "4"}));
+  auto store = storage::VineyardStore::Build(data).value();
+  auto graph = store->GetGrinHandle();
+
+  auto x = [] { return Expr::Property(0, "x"); };
+  auto num = [](int64_t n) { return Expr::Const(PropertyValue(n)); };
+  // Both filters keep the first vertex of every window (x = 0, 1024,
+  // 2048), where an off-by-one in the claim helper would show.
+  std::vector<ir::Plan> plans;
+  {  // SCAN + SELECT.
+    PlanBuilder b;
+    b.Scan("a", 0);
+    b.Select(Expr::Binary(BinOp::kNe, x(), num(1500)));
+    std::vector<ExprPtr> out;
+    out.push_back(Expr::VertexId(0));
+    out.push_back(x());
+    b.Project(std::move(out), {"id", "x"});
+    plans.push_back(b.Build());
+  }
+  {  // FUSED_SCAN: `x <= 2900` pushes down, `x + 0 != 700` stays residual.
+    PlanBuilder b;
+    b.Scan("a", 0,
+           Expr::Binary(BinOp::kAnd, Expr::Binary(BinOp::kLe, x(), num(2900)),
+                        Expr::Binary(BinOp::kNe,
+                                     Expr::Binary(BinOp::kAdd, x(), num(0)),
+                                     num(700))));
+    std::vector<ExprPtr> out;
+    out.push_back(Expr::VertexId(0));
+    b.Project(std::move(out), {"id"});
+    ir::Plan fused = optimizer::Optimize(b.Build(), nullptr, {},
+                                         &graph->schema());
+    ASSERT_EQ(fused.ops[0].kind, ir::OpKind::kFusedScan) << fused.ToString();
+    const ir::PushdownSplit split = ir::SplitPushdown(
+        *fused.ops[0].predicate, 0, v, graph->schema(), nullptr);
+    ASSERT_EQ(split.pushed.size(), 1u);
+    ASSERT_EQ(split.residual.size(), 1u);
+    plans.push_back(std::move(fused));
+  }
+
+  Interpreter interp(graph.get());
+  runtime::GaiaEngine gaia(graph.get(), 4);
+  for (const ir::Plan& plan : plans) {
+    SCOPED_TRACE(plan.ToString());
+    auto reference = interp.RunTupleAtATime(plan);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_GT(reference.value().size(), ir::kBatchSize);
+    for (int round = 0; round < 5; ++round) {
+      auto rows = gaia.Run(plan);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(RowsToStrings(rows.value()),
+                RowsToStrings(reference.value()));
+    }
+  }
 }
 
 TEST_F(InterpreterOpTest, MorselSourceHandsOutEachWindowOnce) {

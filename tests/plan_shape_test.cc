@@ -198,7 +198,8 @@ TEST_F(PlanShapeTest, BiShapes) {
 }
 
 // A PROJECT reading only the scanned column folds into the fused scan and
-// the folded plan agrees with the unfused one row-for-row in both modes.
+// the folded plan agrees with the unfused one row-for-row, on the columnar
+// path and on the tuple-at-a-time reference.
 TEST_F(PlanShapeTest, FusedScanFoldsProjection) {
   const std::string text =
       "MATCH (m:Post) WHERE m.length > 300 "
@@ -221,10 +222,9 @@ TEST_F(PlanShapeTest, FusedScanFoldsProjection) {
   const ir::Plan& fused_plan = fused.value();
   std::vector<std::string> reference;
   for (const ir::Plan* plan : {&fused_plan, &unfused}) {
-    for (bool vectorized : {false, true}) {
-      ExecOptions opts;
-      opts.vectorized = vectorized;
-      auto rows = interpreter.Run(*plan, opts);
+    for (bool tuple_at_a_time : {true, false}) {
+      auto rows = tuple_at_a_time ? interpreter.RunTupleAtATime(*plan)
+                                  : interpreter.Run(*plan);
       ASSERT_TRUE(rows.ok()) << rows.status().ToString();
       auto rendered = RowsToStrings(rows.value());
       EXPECT_FALSE(rendered.empty());
@@ -240,8 +240,8 @@ TEST_F(PlanShapeTest, FusedScanFoldsProjection) {
 // A PROJECT immediately downstream of an expansion folds into it — both
 // when the expand also pushes a predicate and when there is no predicate
 // at all (fused solely for the fold; the storage visit runs unfiltered) —
-// and each folded plan agrees with its unfused form row-for-row in both
-// modes.
+// and each folded plan agrees with its unfused form row-for-row, on the
+// columnar path and on the tuple-at-a-time reference.
 TEST_F(PlanShapeTest, FusedExpandFoldsProjection) {
   const std::vector<std::string> texts = {
       "MATCH (f:Forum)-[:CONTAINER_OF]->(m:Post) WHERE m.length > 300 "
@@ -267,10 +267,9 @@ TEST_F(PlanShapeTest, FusedExpandFoldsProjection) {
     const ir::Plan& fused_plan = fused.value();
     std::vector<std::string> reference;
     for (const ir::Plan* plan : {&fused_plan, &unfused}) {
-      for (bool vectorized : {false, true}) {
-        ExecOptions opts;
-        opts.vectorized = vectorized;
-        auto rows = interpreter.Run(*plan, opts);
+      for (bool tuple_at_a_time : {true, false}) {
+        auto rows = tuple_at_a_time ? interpreter.RunTupleAtATime(*plan)
+                                    : interpreter.Run(*plan);
         ASSERT_TRUE(rows.ok()) << rows.status().ToString();
         auto rendered = RowsToStrings(rows.value());
         EXPECT_FALSE(rendered.empty());

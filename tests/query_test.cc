@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "common/random.h"
 #include "lang/cypher.h"
@@ -69,6 +71,30 @@ class QueryTest : public ::testing::Test {
     auto catalog = optimizer::Catalog::Build(*graph_);
     ir::Plan optimized = optimizer::Optimize(plan.value(), &catalog);
     return interp.Run(optimized, opts);
+  }
+
+  /// Runs `text` through QueryService on Gaia (4 workers) and on HiActor,
+  /// and through NaiveGraphDB. Expects every run to succeed with the same
+  /// rendered rows and returns them.
+  std::vector<std::string> RunEverywhere(
+      Language lang, const std::string& text,
+      const std::vector<PropertyValue>& params = {}) {
+    SCOPED_TRACE(text);
+    std::vector<std::vector<std::string>> results;
+    QueryService service(graph_.get(), 4);
+    for (EngineKind engine : {EngineKind::kGaia, EngineKind::kHiActor}) {
+      auto rows = service.Run(lang, text, engine, params);
+      EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+      if (rows.ok()) results.push_back(RowsToStrings(rows.value()));
+    }
+    NaiveGraphDB naive(graph_.get());
+    auto rows = naive.Run(lang, text, params);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (rows.ok()) results.push_back(RowsToStrings(rows.value()));
+    if (results.size() != 3) return {"<failed>"};
+    EXPECT_EQ(results[0], results[2]) << "Gaia vs NaiveGraphDB";
+    EXPECT_EQ(results[1], results[2]) << "HiActor vs NaiveGraphDB";
+    return results[2];
   }
 
   std::unique_ptr<storage::VineyardStore> store_;
@@ -483,6 +509,120 @@ TEST_F(QueryTest, CountDistinct) {
   ASSERT_TRUE(distinct.ok());
   EXPECT_EQ(RowsToStrings(plain.value())[0], "4");     // 1,2 via 101; 1,4 via 103.
   EXPECT_EQ(RowsToStrings(distinct.value())[0], "3");  // {1, 2, 4}.
+}
+
+// ------------------------------------------------ Edge-case semantics
+
+TEST_F(QueryTest, CartesianWithEmptySideYieldsNoRows) {
+  // A later scan extends every input row; with no rows to extend it must
+  // yield none instead of restarting as a leading scan.
+  const std::vector<std::string> none;
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (a:Buyer {id: 999}), (b:Item) "
+                          "RETURN a.username, b.price"),
+            none);
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (a:Buyer) WHERE a.credits > 1000 "
+                          "MATCH (b:Item) RETURN a.username, b.price"),
+            none);
+  // The same after a blocking operator, where Gaia runs the scan in its
+  // post-exchange suffix.
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (a:Buyer) WHERE a.credits > 1000 "
+                          "WITH a.username AS u, count(a) AS c "
+                          "MATCH (b:Item) RETURN u, c, b.price"),
+            none);
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (a:Buyer {id: 1}), (b:Item) "
+                          "RETURN a.username, b.price"),
+            (std::vector<std::string>{"A1 | 0.500000", "A1 | 1.000000",
+                                      "A1 | 1.500000", "A1 | 2.000000"}));
+}
+
+TEST_F(QueryTest, LimitZeroReturnsNoRows) {
+  const std::vector<std::string> none;
+  EXPECT_EQ(RunEverywhere(Language::kGremlin,
+                          "g.V().hasLabel('Buyer').order().by('username')"
+                          ".limit(0)"),
+            none);
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (b:Buyer) RETURN b.username "
+                          "ORDER BY b.username LIMIT 0"),
+            none);
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (b:Buyer) RETURN b.username LIMIT 0"),
+            none);
+  // A nonzero limit still caps, with or without a sort.
+  EXPECT_EQ(RunEverywhere(Language::kGremlin,
+                          "g.V().hasLabel('Buyer').order().by('username')"
+                          ".limit(2).values('username')"),
+            (std::vector<std::string>{"A1", "B2"}));
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (b:Buyer) RETURN b.username "
+                          "ORDER BY b.username DESC LIMIT 1"),
+            (std::vector<std::string>{"D4"}));
+}
+
+TEST_F(QueryTest, NonNumericOperandsYieldNull) {
+  // A string or bool operand makes arithmetic null instead of aborting.
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (b:Buyer) RETURN b.username * 2, "
+                          "b.credits + (b.credits > 15)"),
+            std::vector<std::string>(4, "null | null"));
+  // SUM/AVG skip string and bool inputs exactly like nulls: nothing is
+  // added, the row still counts.
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (b:Buyer) RETURN sum(b.username), "
+                          "avg(b.username), sum(b.credits > 15)"),
+            (std::vector<std::string>{"0 | 0.000000 | 0"}));
+  EXPECT_EQ(RunEverywhere(Language::kGremlin,
+                          "g.V().hasLabel('Buyer').values('username')"
+                          ".count()"),
+            (std::vector<std::string>{"4"}));
+}
+
+TEST_F(QueryTest, IntegerOverflowWidensToDouble) {
+  const std::vector<PropertyValue> params = {
+      PropertyValue(std::numeric_limits<int64_t>::min()),
+      PropertyValue(int64_t{-1})};
+  // Buyer 1 has credits = 10. In-range results stay int64; overflowing
+  // + - * widen to double; INT64_MIN / -1 is null.
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (b:Buyer {id: 1}) RETURN b.credits + 5, "
+                          "b.credits + 9223372036854775807, "
+                          "b.credits - $0, "
+                          "b.credits * 1000000000000000000, "
+                          "$0 / $1, $0 / 2",
+                          params),
+            (std::vector<std::string>{
+                "15 | 9223372036854775808.000000 | "
+                "9223372036854775808.000000 | "
+                "10000000000000000000.000000 | null | "
+                "-4611686018427387904"}));
+  // An int64 SUM that would overflow widens to double as well.
+  const auto sum = RunEverywhere(
+      Language::kCypher,
+      "MATCH (b:Buyer) RETURN sum(b.credits + 9223372036854775700)");
+  ASSERT_EQ(sum.size(), 1u);
+  EXPECT_NEAR(std::stod(sum[0]), 4 * 9223372036854775700.0 + 100.0, 1e5);
+  EXPECT_NE(sum[0].find('.'), std::string::npos) << sum[0];
+}
+
+TEST_F(QueryTest, HugeDoubleGroupKeysAndSums) {
+  // Doubles beyond the int64 range must hash and finalize without an
+  // out-of-range float-to-int cast; 1e19 and 2e19 stay distinct groups.
+  const std::vector<PropertyValue> params = {PropertyValue(1e19)};
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (b:Buyer)-[:BUY]->(i:Item) "
+                          "RETURN i.price * 2 * $0 AS k, count(b) AS n "
+                          "ORDER BY k",
+                          params),
+            (std::vector<std::string>{"10000000000000000000.000000 | 2",
+                                      "20000000000000000000.000000 | 2",
+                                      "30000000000000000000.000000 | 2"}));
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (i:Item) RETURN sum(i.price * $0)", params),
+            (std::vector<std::string>{"50000000000000000000.000000"}));
 }
 
 // ----------------------------------------------------- Randomized check

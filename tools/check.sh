@@ -19,15 +19,16 @@
 # bench unsanitized, runs the fragment-scaling sweep, and diffs the
 # numbers against the committed BENCH_exp3_analytics.json via
 # tools/bench_compare.py (>15% regression fails). It then runs the Exp-2
-# row-vs-batched A/B (bench_exp2_snb_interactive --ab-only), which both
-# ratchets against BENCH_exp2_snb.json and enforces the vectorization
-# floor (batched >=1.4x geomean over row at 4 workers, fused plans). The
-# sanitizer passes additionally run `bench_superstep_comm --smoke` and
-# the Exp-2 A/B smoke so the superstep communication path and the
-# columnar executor are exercised under ASan+UBSan and TSan outside of
-# ctest; their ctest runs include exec_parity_test, which replays every
-# SNB query fusion-on vs fusion-off across row/batched x 1/4 shards, so
-# the fused pipelines are sanitizer-checked in both states.
+# reference-vs-batched A/B (bench_exp2_snb_interactive --ab-only), which
+# both ratchets against BENCH_exp2_snb.json and enforces the columnar
+# floor (batched Gaia at 1 worker >=1.32x geomean over the tuple-at-a-time
+# reference on the same fused plans). The sanitizer passes additionally
+# run `bench_superstep_comm --smoke` and the Exp-2 A/B smoke so the
+# superstep communication path and the columnar executor are exercised
+# under ASan+UBSan and TSan outside of ctest; their ctest runs include
+# exec_parity_test, which replays every SNB query fusion-on vs fusion-off
+# on the reference and on Gaia at 1 and 4 workers, so the fused pipelines
+# are sanitizer-checked in both states.
 #
 # The serving pass is the multi-client harness: it builds
 # tests/serving_test under ASan+UBSan and under TSan and runs it across
@@ -101,13 +102,15 @@ run_bench() {
       --json="$builddir/exp3_current.json"
   python3 "$ROOT/tools/bench_compare.py" \
       "$ROOT/BENCH_exp3_analytics.json" "$builddir/exp3_current.json"
-  echo "=== bench: Exp-2 row-vs-batched A/B vs BENCH_exp2_snb.json ==="
+  echo "=== bench: Exp-2 reference-vs-batched A/B vs BENCH_exp2_snb.json ==="
   cmake --build "$builddir" -j "$JOBS" --target bench_exp2_snb_interactive
-  # --min-geomean is the vectorization floor: the batched path (fused
-  # plans, native columnar GROUP) must keep a >=1.4x geomean over
-  # row-at-a-time on SNB interactive at 4 workers.
+  # --min-geomean is the columnar floor: batched Gaia at 1 worker (fused
+  # plans, native columnar GROUP) must keep its geomean speedup over the
+  # tuple-at-a-time reference on the 41-query SNB suite. Both arms are
+  # single-threaded. The floor is the lowest of three full runs minus 0.1
+  # (1.43x, 1.42x, 1.43x on a 4-core Intel Xeon host).
   "$builddir/bench/bench_exp2_snb_interactive" --ab-only \
-      --json="$builddir/exp2_current.json" --min-geomean=1.4
+      --json="$builddir/exp2_current.json" --min-geomean=1.32
   python3 "$ROOT/tools/bench_compare.py" \
       "$ROOT/BENCH_exp2_snb.json" "$builddir/exp2_current.json"
   echo "=== bench: serving ratchet vs BENCH_serving.json ==="
