@@ -211,7 +211,9 @@ constexpr MetricSpec kStackMetrics[] = {
     {kStorageIndexLookupsTotal, "counter",
      "Oid-index lookups (GRIN FindVertex) across all storage backends."},
     {kStorageScansTotal, "counter",
-     "Vertex scans (GRIN VisitVertices) across all storage backends."},
+     "Vertex scan windows across all storage backends: one per GRIN "
+     "VisitVertices / VisitVerticesFiltered call, i.e. one per scanned "
+     "window of each label."},
     {kStorageSnapshotsPinnedTotal, "counter",
      "MVCC snapshots pinned through MutableGraphStore::PinSnapshot."},
     {kTenantRejectionsTotal, "counter",

@@ -130,6 +130,7 @@ struct FilteredScanForward {
   FilteredForward shared;
   FilteredVertexVisitor visitor;
   void* visitor_ctx;
+  bool stopped = false;
 };
 
 struct FilteredAdjForward {
@@ -141,33 +142,23 @@ struct FilteredAdjForward {
 
 }  // namespace
 
-bool GrinGraph::VisitVerticesFiltered(label_t label, VertexPredicate pred,
-                                      void* pred_ctx,
-                                      const VertexFilter& filter,
+bool GrinGraph::VisitVerticesFiltered(label_t label, size_t begin,
+                                      size_t end, const VertexFilter& filter,
                                       std::span<const size_t> project_cols,
                                       FilteredVertexVisitor visitor,
                                       void* visitor_ctx) const {
   FilteredScanForward forward{{this, &filter, project_cols, {}},
                               visitor, visitor_ctx};
-  bool stopped = false;
-  struct Outer {
-    FilteredScanForward* forward;
-    bool* stopped;
-  } outer{&forward, &stopped};
   VisitVertices(
-      label, pred, pred_ctx,
+      label, begin, end,
       [](void* raw, vid_t v) -> bool {
-        auto* o = static_cast<Outer*>(raw);
-        if (!o->forward->shared.Survives(v)) return true;
-        if (!o->forward->visitor(o->forward->visitor_ctx, v,
-                                 o->forward->shared.props)) {
-          *o->stopped = true;
-          return false;
-        }
-        return true;
+        auto* f = static_cast<FilteredScanForward*>(raw);
+        if (!f->shared.Survives(v)) return true;
+        f->stopped = !f->visitor(f->visitor_ctx, v, f->shared.props);
+        return !f->stopped;
       },
-      &outer);
-  return !stopped;
+      &forward);
+  return !forward.stopped;
 }
 
 bool GrinGraph::GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,

@@ -91,9 +91,6 @@ using AdjVisitor = bool (*)(void* ctx, const AdjChunk& chunk);
 using BatchAdjVisitor = bool (*)(void* ctx, size_t src_index, Direction dir,
                                  const AdjChunk& chunk);
 
-/// Predicate evaluated inside storage scans when kPredicatePushdown is set.
-using VertexPredicate = bool (*)(void* ctx, vid_t v);
-
 class GrinGraph;
 
 /// One pushed-down comparison against a vertex property column, with the
@@ -128,7 +125,7 @@ struct VertexFilter {
 };
 
 /// Visitor for filtered+projected vertex scans: called once per vertex
-/// that passed both the engine predicate and the pushed filter, with
+/// of the visited window that passed the pushed filter, with
 /// `props[i]` = the vertex's value for the i-th requested projection
 /// column. Return false to stop the scan early.
 using FilteredVertexVisitor = bool (*)(void* ctx, vid_t v,
@@ -166,24 +163,25 @@ class GrinGraph {
   /// [begin, end) when kVertexListArray is advertised.
   virtual std::pair<vid_t, vid_t> VertexRange(label_t label) const;
 
-  /// Enumerates vids of `label` (works without kVertexListArray).
-  virtual void VisitVertices(label_t label, VertexPredicate pred,
-                             void* pred_ctx, bool (*visitor)(void*, vid_t),
+  /// Enumerates the vids of `label` at scan positions [begin, end): the
+  /// label's vertices in a fixed backend order, numbered from 0, with
+  /// `end` clamped to NumVerticesOfLabel(label). Engines shard a scan by
+  /// handing each worker its own windows; a full scan passes
+  /// 0, NumVerticesOfLabel(label). Works without kVertexListArray.
+  virtual void VisitVertices(label_t label, size_t begin, size_t end,
+                             bool (*visitor)(void*, vid_t),
                              void* visitor_ctx) const = 0;
 
   /// Filtered + projected scan (the kPredicatePushdown trait's scan entry
-  /// point): enumerates vids of `label` in the same order as
-  /// VisitVertices, calling `pred` for EVERY vertex (engines count scan
-  /// positions and decide shard ownership there — implementations must
-  /// not skip it), then evaluating `filter` only for pred-passing
-  /// vertices, and invoking `visitor` for survivors with the values of
-  /// `project_cols` gathered. Backends advertising the trait override
-  /// this to evaluate the filter inside their scan loop against raw
-  /// columns (one lock per scan, no boxed dispatch per vertex); the
-  /// default wraps VisitVertices + GetVertexProperty and is correct for
-  /// every backend, so engines call this unconditionally for fused scans.
-  virtual bool VisitVerticesFiltered(label_t label, VertexPredicate pred,
-                                     void* pred_ctx,
+  /// point): enumerates the same window as VisitVertices, in the same
+  /// order, evaluating `filter` and invoking `visitor` for survivors with
+  /// the values of `project_cols` gathered. Backends advertising the
+  /// trait override this to evaluate the filter inside their scan loop
+  /// against raw columns (one lock per window, no boxed dispatch per
+  /// vertex); the default wraps VisitVertices + GetVertexProperty and is
+  /// correct for every backend, so engines call this unconditionally for
+  /// fused scans. Returns false if the visitor stopped early.
+  virtual bool VisitVerticesFiltered(label_t label, size_t begin, size_t end,
                                      const VertexFilter& filter,
                                      std::span<const size_t> project_cols,
                                      FilteredVertexVisitor visitor,

@@ -1,5 +1,6 @@
 #include "ir/plan.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.h"
@@ -69,6 +70,38 @@ Plan Plan::Clone() const {
   copy.columns = columns;
   copy.estimated_peak_rows = estimated_peak_rows;
   return copy;
+}
+
+namespace {
+
+size_t ParamCountOf(const Expr* e) {
+  if (e == nullptr) return 0;
+  if (e->kind() == ExprKind::kParam) return e->param_index() + 1;
+  return std::max(ParamCountOf(e->lhs()), ParamCountOf(e->rhs()));
+}
+
+}  // namespace
+
+size_t Plan::ParamCount() const {
+  size_t count = 0;
+  auto note = [&count](const ExprPtr& e) {
+    count = std::max(count, ParamCountOf(e.get()));
+  };
+  for (const Op& op : ops) {
+    note(op.predicate);
+    note(op.id_lookup);
+    for (const auto& e : op.exprs) note(e);
+    for (const auto& a : op.aggregates) note(a.arg);
+  }
+  return count;
+}
+
+Status CheckParams(const Plan& plan, size_t num_params) {
+  const size_t needed = plan.ParamCount();
+  if (num_params >= needed) return Status::OK();
+  return Status::InvalidArgument(
+      "query references $" + std::to_string(needed - 1) + " but " +
+      std::to_string(num_params) + " parameter(s) were supplied");
 }
 
 std::string Plan::ToString() const {
@@ -282,7 +315,14 @@ std::string Plan::DebugString(const GraphSchema* schema) const {
   }
   out << "]";
   if (estimated_peak_rows >= 0.0) {
-    out << "\nest_peak_rows=" << static_cast<uint64_t>(estimated_peak_rows);
+    // Label-less plans can estimate past 2^64, where the integer cast is
+    // undefined; those render in floating-point notation.
+    out << "\nest_peak_rows=";
+    if (estimated_peak_rows < 0x1p64) {
+      out << static_cast<uint64_t>(estimated_peak_rows);
+    } else {
+      out << estimated_peak_rows;
+    }
   }
   return out.str();
 }

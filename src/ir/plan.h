@@ -103,6 +103,9 @@ struct Plan {
   double estimated_peak_rows = -1.0;
 
   Plan Clone() const;
+  /// One more than the highest $i any expression references; 0 when the
+  /// plan takes no parameters.
+  size_t ParamCount() const;
   std::string ToString() const;
   /// Multi-line EXPLAIN rendering: one numbered line per operator with
   /// labels resolved through `schema` (indices when null), predicates,
@@ -110,6 +113,11 @@ struct Plan {
   /// projections, and the final output columns.
   std::string DebugString(const GraphSchema* schema = nullptr) const;
 };
+
+/// kInvalidArgument when `plan` references more parameters than the
+/// `num_params` supplied. Engines check it at admission, so a missing $i
+/// never reaches expression evaluation.
+Status CheckParams(const Plan& plan, size_t num_params);
 
 /// Incremental plan construction with alias bookkeeping; used by both
 /// language front ends so Gremlin and Cypher lower to identical IR.

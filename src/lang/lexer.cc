@@ -58,15 +58,16 @@ Result<std::vector<Token>> Tokenize(const std::string& source) {
         ++j;
       }
       tok.text = source.substr(i, j - i);
+      const char* first = tok.text.data();
+      const char* last = first + tok.text.size();
       if (is_float) {
         tok.kind = TokKind::kFloat;
-        tok.float_value = std::stod(tok.text);
+        if (std::from_chars(first, last, tok.float_value).ec != std::errc()) {
+          return Status::ParseError("bad number: " + tok.text);
+        }
       } else {
         tok.kind = TokKind::kInt;
-        auto [ptr, ec] = std::from_chars(tok.text.data(),
-                                         tok.text.data() + tok.text.size(),
-                                         tok.int_value);
-        if (ec != std::errc()) {
+        if (std::from_chars(first, last, tok.int_value).ec != std::errc()) {
           return Status::ParseError("bad integer: " + tok.text);
         }
       }
@@ -90,7 +91,11 @@ Result<std::vector<Token>> Tokenize(const std::string& source) {
       if (j == i + 1) return Status::ParseError("expected digits after $");
       tok.kind = TokKind::kParam;
       tok.text = source.substr(i + 1, j - i - 1);
-      tok.int_value = std::stoll(tok.text);
+      if (std::from_chars(tok.text.data(), tok.text.data() + tok.text.size(),
+                          tok.int_value)
+              .ec != std::errc()) {
+        return Status::ParseError("bad parameter index: $" + tok.text);
+      }
       i = j;
     } else {
       tok.kind = TokKind::kPunct;

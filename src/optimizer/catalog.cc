@@ -29,7 +29,7 @@ Catalog Catalog::Build(const grin::GrinGraph& graph, size_t sample_per_label) {
       size_t degree_sum = 0;
     } ctx{&graph, static_cast<label_t>(el), sample_per_label};
     graph.VisitVertices(
-        def.src_label, nullptr, nullptr,
+        def.src_label, 0, graph.NumVerticesOfLabel(def.src_label),
         [](void* raw, vid_t v) -> bool {
           auto* c = static_cast<Ctx*>(raw);
           c->degree_sum += c->graph->Degree(v, Direction::kOut, c->elabel);

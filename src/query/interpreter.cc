@@ -154,6 +154,30 @@ void RefineSelection(const ir::Expr& predicate, const grin::GrinGraph& g,
   batch->SetSelection(std::move(sel));
 }
 
+/// Projection over the selected rows of `in`: one output column per
+/// expression, column references gathered (and compacted) column-wise,
+/// everything else evaluated batch-wise.
+Batch ProjectBatch(const Batch& in, const std::vector<ir::ExprPtr>& exprs,
+                   const grin::GrinGraph& g,
+                   const std::vector<PropertyValue>& params) {
+  Batch out;
+  out.order_key = in.order_key;
+  std::vector<PropertyValue> vals;
+  for (const auto& expr : exprs) {
+    Column col;
+    if (expr->kind() == ir::ExprKind::kColumn) {
+      col.GatherFrom(in.column(expr->column()), in.selection());
+    } else {
+      expr->EvalBatch(in, in.selection(), g, params, &vals);
+      col.Reserve(vals.size());
+      for (PropertyValue& v : vals) col.AppendValue(std::move(v));
+    }
+    out.AddColumn(std::move(col));
+  }
+  out.SelectAll();
+  return out;
+}
+
 /// Output builder for the appending operators (EXPAND, EXPAND_EDGE, GETV):
 /// collects (source row, appended entry) pairs and flushes them as compact
 /// batches — source columns gathered column-wise, the new column appended,
@@ -211,22 +235,7 @@ class AppendBuilder {
       // Folded projection (FUSED_EXPAND): rebuild the output columns from
       // the extended batch — the exact layout PROJECT would have seen —
       // and drop everything the expressions do not reference.
-      Batch projected;
-      projected.order_key = b.order_key;
-      std::vector<PropertyValue> vals;
-      for (const auto& expr : op_->exprs) {
-        Column col;
-        if (expr->kind() == ir::ExprKind::kColumn) {
-          col.GatherFrom(b.column(expr->column()), b.selection());
-        } else {
-          expr->EvalBatch(b, b.selection(), *g_, *params_, &vals);
-          col.Reserve(vals.size());
-          for (PropertyValue& v : vals) col.AppendValue(std::move(v));
-        }
-        projected.AddColumn(std::move(col));
-      }
-      projected.SelectAll();
-      b = std::move(projected);
+      b = ProjectBatch(b, op_->exprs, *g_, *params_);
     }
     NoteBatch(b);
     out_->push_back(std::move(b));
@@ -243,177 +252,17 @@ class AppendBuilder {
   Column appended_;
 };
 
-/// State threaded through the columnar leading scan's C-style visitor.
-struct ScanState {
-  const ir::Op* op = nullptr;
-  const grin::GrinGraph* g = nullptr;
-  const ExecOptions* opts = nullptr;
-  std::vector<Batch>* out = nullptr;
-  size_t total = 0;     ///< Scan positions across all scanned labels.
-  size_t position = 0;  ///< Global scan position (label-major, like rows).
-  size_t cur_begin = 0;  ///< Current claimed morsel window; empty at start.
-  size_t cur_end = 0;
-  bool exhausted = false;  ///< Morsel source ran past `total`.
-  Column pending;          ///< Vids owned but not yet flushed.
-  uint64_t pending_first = 0;
-  Status status;
-};
-
-/// State threaded through the fused columnar scan. The morsel claim runs
-/// as the GRIN `pred` callback — called for every vertex of the label, so
-/// scan positions count exactly as in the unfused scan — while the
-/// `visitor` only sees vertices that also passed the pushed-down filter.
-struct FusedScanState : ScanState {
-  static constexpr size_t kNotAProp = static_cast<size_t>(-1);
-
-  const ir::PushdownSplit* split = nullptr;
-  size_t last_pos = 0;  ///< Position of the vertex currently in flight.
-  bool project = false;
-  /// Per projection expr: its slot in the natively gathered `prop_cols`,
-  /// or kNotAProp (evaluated via Expr at flush time).
-  std::vector<size_t> expr_slot;
-  std::vector<Column> prop_cols;
-  Row tmp_row;  ///< Scratch single-column row for residual conjuncts.
-};
-
-/// Morsel ownership of scan position `pos`, shared by the plain and fused
-/// columnar scans. Without a morsel source every position is owned. With
-/// one, the scan owns one claimed window at a time: leaving a window
-/// flushes the pending batch first, so a batch never spans two windows —
-/// each batch covers one contiguous slice of the global scan order and
-/// sorting by order_key at the exchange reconstructs it exactly. Returns
-/// false for an unowned position; a false `status` or `exhausted` then
-/// means the scan must stop.
-template <typename State>
-bool ClaimPosition(State* s, size_t pos, bool (*flush)(State*)) {
-  ScanMorselSource* morsels = s->opts->morsels;
-  if (morsels == nullptr) return true;
-  while (pos >= s->cur_end) {
-    if (!flush(s)) return false;
-    s->cur_begin = morsels->Claim();
-    s->cur_end = s->cur_begin + morsels->grain;
-    if (s->cur_begin >= s->total) {
-      s->exhausted = true;  // Nothing left anywhere ahead of us.
-      return false;
-    }
-  }
-  return pos >= s->cur_begin;
-}
-
-/// Flushes the pending vids as one batch (selection starts full, the scan
-/// predicate then flips selection bits) and runs the batch-boundary
-/// deadline/cancellation check — the columnar path's quantum.
-bool FlushScanBatch(ScanState* s) {
-  if (!s->pending.empty()) {
-    Batch b;
-    b.order_key = s->pending_first;
-    b.AddColumn(std::move(s->pending));
-    s->pending = Column();
-    b.SelectAll();
-    if (s->op->predicate != nullptr) {
-      RefineSelection(*s->op->predicate, *s->g, s->opts->params, &b);
-    }
-    if (b.NumSelected() > 0) {
-      NoteBatch(b);
-      s->out->push_back(std::move(b));
-    }
-  }
-  s->status = CheckRunnable(s->opts->deadline, s->opts->cancel, "scan");
-  return s->status.ok();
-}
-
-/// Per-vertex scan visitor: appends owned vertices to the pending batch.
-bool ScanVisit(void* raw, vid_t v) {
-  auto* s = static_cast<ScanState*>(raw);
-  const size_t pos = s->position++;
-  if (!ClaimPosition(s, pos, &FlushScanBatch)) {
-    return s->status.ok() && !s->exhausted;
-  }
-  if (s->pending.empty()) s->pending_first = pos;
-  s->pending.AppendVertex(v);
-  if (s->pending.size() >= ir::kBatchSize) return FlushScanBatch(s);
+/// Scan visitors. A window's columns are the kept vids (column 0), then
+/// one column per natively projected property.
+bool KeepScanned(void* raw, vid_t v) {
+  (*static_cast<std::vector<Column>*>(raw))[0].AppendVertex(v);
   return true;
 }
 
-/// Flushes the surviving vids as one batch. Without a folded projection
-/// the batch is the vid column (residual conjuncts were already applied
-/// per vertex, so the selection stays full); with one, the output columns
-/// assemble from the natively gathered property columns and flush-time
-/// expression evaluation over the vids.
-bool FlushFusedScanBatch(FusedScanState* s) {
-  if (!s->pending.empty()) {
-    Batch b;
-    b.order_key = s->pending_first;
-    if (!s->project) {
-      b.AddColumn(std::move(s->pending));
-      s->pending = Column();
-      b.SelectAll();
-    } else {
-      Batch tmp;
-      tmp.AddColumn(std::move(s->pending));
-      s->pending = Column();
-      tmp.SelectAll();
-      std::vector<PropertyValue> vals;
-      for (size_t j = 0; j < s->op->exprs.size(); ++j) {
-        const auto& expr = s->op->exprs[j];
-        Column col;
-        if (s->expr_slot[j] != FusedScanState::kNotAProp) {
-          col = std::move(s->prop_cols[s->expr_slot[j]]);
-          s->prop_cols[s->expr_slot[j]] = Column();
-        } else if (expr->kind() == ir::ExprKind::kColumn) {
-          col.GatherFrom(tmp.column(0), tmp.selection());
-        } else {
-          expr->EvalBatch(tmp, tmp.selection(), *s->g, s->opts->params,
-                          &vals);
-          col.Reserve(vals.size());
-          for (PropertyValue& v : vals) col.AppendValue(std::move(v));
-        }
-        b.AddColumn(std::move(col));
-      }
-      b.SelectAll();
-    }
-    if (b.NumSelected() > 0) {
-      NoteBatch(b);
-      s->out->push_back(std::move(b));
-    }
-  }
-  s->status = CheckRunnable(s->opts->deadline, s->opts->cancel, "scan");
-  return s->status.ok();
-}
-
-/// Engine predicate for the fused scan: claims position ownership exactly
-/// like ScanVisit. A GRIN predicate cannot stop the enumeration (false
-/// means "skip"), so after morsel exhaustion it keeps declining the
-/// remaining vertices instead of breaking out — positions still count.
-bool FusedScanPred(void* raw, vid_t) {
-  auto* s = static_cast<FusedScanState*>(raw);
-  const size_t pos = s->position++;
-  if (!s->status.ok() || s->exhausted) return false;
-  if (!ClaimPosition(s, pos, &FlushFusedScanBatch)) return false;
-  s->last_pos = pos;
-  return true;
-}
-
-/// Visitor for vertices that passed both the engine predicate and the
-/// pushed filter: applies the residual conjuncts, then appends the vid
-/// (and the natively projected property values) to the pending batch.
-bool FusedScanKeep(void* raw, vid_t v, std::span<const PropertyValue> props) {
-  auto* s = static_cast<FusedScanState*>(raw);
-  if (!s->status.ok()) return false;
-  if (!s->split->residual.empty()) {
-    s->tmp_row[0] = ir::VertexRef{v};
-    for (const ir::Expr* conjunct : s->split->residual) {
-      if (!conjunct->EvalBool(s->tmp_row, *s->g, s->opts->params)) {
-        return true;  // Residual miss: skip, keep scanning.
-      }
-    }
-  }
-  if (s->pending.empty()) s->pending_first = s->last_pos;
-  s->pending.AppendVertex(v);
-  for (size_t k = 0; k < props.size(); ++k) {
-    s->prop_cols[k].AppendValue(props[k]);
-  }
-  if (s->pending.size() >= ir::kBatchSize) return FlushFusedScanBatch(s);
+bool KeepFiltered(void* raw, vid_t v, std::span<const PropertyValue> props) {
+  auto& cols = *static_cast<std::vector<Column>*>(raw);
+  cols[0].AppendVertex(v);
+  for (size_t k = 0; k < props.size(); ++k) cols[k + 1].AppendValue(props[k]);
   return true;
 }
 
@@ -477,82 +326,83 @@ Status Interpreter::ColumnarScan(const ir::Op& op, std::vector<Batch>* out,
   if (FLEX_FAULT_POINT("storage.read")) {
     return Status::DataLoss("storage.read fault injected at scan");
   }
-  ScanState st;
-  st.op = &op;
-  st.g = &g;
-  st.opts = &opts;
-  st.out = out;
-  if (op.label == kInvalidLabel) {
-    for (size_t l = 0; l < g.schema().vertex_label_num(); ++l) {
-      st.total += g.NumVerticesOfLabel(static_cast<label_t>(l));
-    }
-  } else {
-    st.total = g.NumVerticesOfLabel(op.label);
-  }
-  if (op.label == kInvalidLabel) {
-    const size_t labels = g.schema().vertex_label_num();
-    for (size_t l = 0; l < labels && st.status.ok() && !st.exhausted; ++l) {
-      g.VisitVertices(static_cast<label_t>(l), nullptr, nullptr, &ScanVisit,
-                      &st);
-    }
-  } else {
-    g.VisitVertices(op.label, nullptr, nullptr, &ScanVisit, &st);
-  }
-  FLEX_RETURN_NOT_OK(st.status);
-  FlushScanBatch(&st);
-  return st.status;
-}
-
-Status Interpreter::ColumnarFusedScan(const ir::Op& op,
-                                      std::vector<Batch>* out,
-                                      const ExecOptions& opts,
-                                      uint64_t fused_span) const {
-  const grin::GrinGraph& g = *graph_;
-  // Same storage boundary as every other scan shape: one read span and
-  // one fault site per scan-operator execution.
-  trace::ScopedSpan read_span(opts.trace, "storage.read", "storage",
-                              fused_span);
-  if (FLEX_FAULT_POINT("storage.read")) {
-    return Status::DataLoss("storage.read fault injected at scan");
-  }
-  // Bind $params now: the filter the backend sees holds concrete values.
+  const bool fused = op.kind == ir::OpKind::kFusedScan;
+  // A fused scan pushes the conjuncts the backend can evaluate into its
+  // scan loop, with $params bound so the filter holds concrete values.
+  // The residual (a plain scan's whole predicate) refines each window's
+  // batch.
   ir::PushdownSplit split;
-  if (op.predicate != nullptr) {
+  if (fused && op.predicate != nullptr) {
     split = ir::SplitPushdown(*op.predicate, 0, op.label, g.schema(),
                               &opts.params);
+  } else if (op.predicate != nullptr) {
+    split.residual.push_back(op.predicate.get());
   }
-  FusedScanState st;
-  st.op = &op;
-  st.g = &g;
-  st.opts = &opts;
-  st.out = out;
-  st.split = &split;
-  st.total = g.NumVerticesOfLabel(op.label);
-  st.tmp_row.push_back(ir::VertexRef{0});
-  // Fused projection: property reads the backend can serve straight from
-  // its columns come back through the visitor's `props`; anything else
-  // (id(), arithmetic, unresolvable names) evaluates at flush time.
+  // Folded projection (fused scans only): a property the backend can
+  // serve from its columns is gathered during the visit into window
+  // column 1 + k, and the projection reads it there as a column; anything
+  // else (id(), arithmetic, unresolvable names) evaluates at flush time.
   std::vector<size_t> project_cols;
-  if (!op.exprs.empty()) {
-    st.project = true;
-    st.expr_slot.assign(op.exprs.size(), FusedScanState::kNotAProp);
-    for (size_t j = 0; j < op.exprs.size(); ++j) {
-      const auto& expr = op.exprs[j];
-      if (expr->kind() != ir::ExprKind::kProperty || expr->column() != 0) {
+  std::vector<ir::ExprPtr> outputs;
+  for (const auto& expr : op.exprs) {
+    if (expr->kind() == ir::ExprKind::kProperty && expr->column() == 0) {
+      auto col = g.schema().FindVertexProperty(op.label, expr->property());
+      if (col.ok()) {
+        project_cols.push_back(col.value());
+        outputs.push_back(ir::Expr::Column(project_cols.size()));
         continue;
       }
-      auto col = g.schema().FindVertexProperty(op.label, expr->property());
-      if (!col.ok()) continue;
-      st.expr_slot[j] = project_cols.size();
-      project_cols.push_back(col.value());
     }
-    st.prop_cols.resize(project_cols.size());
+    outputs.push_back(expr->Clone());
   }
-  g.VisitVerticesFiltered(op.label, &FusedScanPred, &st, split.filter,
-                          project_cols, &FusedScanKeep, &st);
-  FLEX_RETURN_NOT_OK(st.status);
-  FlushFusedScanBatch(&st);
-  return st.status;
+  // Scan positions run label-major over the scanned labels.
+  std::vector<std::pair<label_t, size_t>> segments;
+  size_t total = 0;
+  for (size_t l = 0; l < g.schema().vertex_label_num(); ++l) {
+    const auto label = static_cast<label_t>(l);
+    if (op.label != kInvalidLabel && label != op.label) continue;
+    segments.emplace_back(label, g.NumVerticesOfLabel(label));
+    total += segments.back().second;
+  }
+
+  // Every window comes from a morsel source: the workers' shared one when
+  // sharded, a private one otherwise. Each window becomes at most one
+  // batch keyed by its first position, so sorting by order_key at the
+  // exchange restores global scan order.
+  ScanMorselSource own;
+  ScanMorselSource* morsels = opts.morsels != nullptr ? opts.morsels : &own;
+  for (;;) {
+    // Window boundary: the columnar scan's deadline/cancellation quantum.
+    FLEX_RETURN_NOT_OK(CheckRunnable(opts.deadline, opts.cancel, "scan"));
+    const size_t begin = morsels->Claim();
+    if (begin >= total) return Status::OK();
+    const size_t end = std::min(begin + ir::kBatchSize, total);
+    std::vector<Column> cols(1 + project_cols.size());
+    size_t base = 0;
+    for (const auto& [label, count] : segments) {
+      if (begin < base + count && end > base) {
+        const size_t lo = begin > base ? begin - base : 0;
+        if (fused) {
+          g.VisitVerticesFiltered(label, lo, end - base, split.filter,
+                                  project_cols, &KeepFiltered, &cols);
+        } else {
+          g.VisitVertices(label, lo, end - base, &KeepScanned, &cols);
+        }
+      }
+      base += count;
+    }
+    Batch b;
+    b.order_key = begin;
+    for (Column& col : cols) b.AddColumn(std::move(col));
+    b.SelectAll();
+    for (const ir::Expr* conjunct : split.residual) {
+      RefineSelection(*conjunct, g, opts.params, &b);
+    }
+    if (b.NumSelected() == 0) continue;
+    if (!outputs.empty()) b = ProjectBatch(b, outputs, g, opts.params);
+    NoteBatch(b);
+    out->push_back(std::move(b));
+  }
 }
 
 Status Interpreter::ApplyBatched(const ir::Op& op, bool leading,
@@ -572,10 +422,12 @@ Status Interpreter::ApplyBatched(const ir::Op& op, bool leading,
   };
 
   switch (op.kind) {
-    case ir::OpKind::kScan: {
+    case ir::OpKind::kScan:
+    case ir::OpKind::kFusedScan: {
       if (!leading) {
         // Cartesian re-scans are rare and never position-sharded; the row
-        // implementation handles them.
+        // implementation handles them (and opens the fused marker span
+        // itself).
         return bridge(batches);
       }
       batches->clear();
@@ -618,20 +470,13 @@ Status Interpreter::ApplyBatched(const ir::Op& op, bool leading,
         batches->push_back(std::move(b));
         return Status::OK();
       }
-      return ColumnarScan(op, batches, opts, op_span);
-    }
-
-    case ir::OpKind::kFusedScan: {
-      if (!leading) {
-        // Cartesian re-scan: the row implementation handles it (and opens
-        // the fused marker span itself).
-        return bridge(batches);
+      if (op.kind == ir::OpKind::kScan) {
+        return ColumnarScan(op, batches, opts, op_span);
       }
-      batches->clear();
       trace::ScopedSpan fused_span(opts.trace, "op.fused_scan", "operator",
                                    op_span);
       FLEX_COUNTER_INC(metrics::kFusedScansTotal);
-      return ColumnarFusedScan(op, batches, opts, fused_span.id());
+      return ColumnarScan(op, batches, opts, fused_span.id());
     }
 
     case ir::OpKind::kFusedExpand: {
@@ -858,22 +703,7 @@ Status Interpreter::ApplyBatched(const ir::Op& op, bool leading,
         FLEX_RETURN_NOT_OK(
             CheckRunnable(opts.deadline, opts.cancel, "interpreter"));
         if (batch.NumSelected() == 0) continue;
-        Batch projected;
-        projected.order_key = batch.order_key;
-        std::vector<PropertyValue> vals;
-        for (const auto& expr : op.exprs) {
-          Column col;
-          if (expr->kind() == ir::ExprKind::kColumn) {
-            // Plain column references gather (and compact) column-wise.
-            col.GatherFrom(batch.column(expr->column()), batch.selection());
-          } else {
-            expr->EvalBatch(batch, batch.selection(), g, opts.params, &vals);
-            col.Reserve(vals.size());
-            for (PropertyValue& v : vals) col.AppendValue(std::move(v));
-          }
-          projected.AddColumn(std::move(col));
-        }
-        projected.SelectAll();
+        Batch projected = ProjectBatch(batch, op.exprs, g, opts.params);
         NoteBatch(projected);
         out.push_back(std::move(projected));
       }
@@ -1046,7 +876,7 @@ Status Interpreter::Apply(const ir::Op& op, bool leading,
           const std::vector<Row>* base;
         } ctx{&op, &g, &opts, &out, &base};
         g.VisitVertices(
-            label, nullptr, nullptr,
+            label, 0, g.NumVerticesOfLabel(label),
             [](void* raw, vid_t v) -> bool {
               auto* c = static_cast<Ctx*>(raw);
               for (const Row& row : *c->base) {

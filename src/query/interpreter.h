@@ -14,20 +14,19 @@
 
 namespace flex::query {
 
-/// Shared morsel source for one sharded scan: workers claim contiguous
-/// position windows [k*grain, (k+1)*grain) off an atomic counter. The
-/// claims partition the position space, so every scan position is emitted
-/// by exactly one worker; each claimed window becomes at most one output
+/// Morsel source for one scan: workers claim contiguous position windows
+/// [k*kBatchSize, (k+1)*kBatchSize) off an atomic counter. The claims
+/// partition the position space, so every scan position is visited by
+/// exactly one worker; each claimed window becomes at most one output
 /// batch whose order_key is its first position, which lets the exchange
 /// restore global scan order with a sort.
 struct ScanMorselSource {
-  explicit ScanMorselSource(size_t grain_size = ir::kBatchSize)
-      : grain(grain_size) {}
-
-  size_t grain;
   std::atomic<size_t> next{0};
 
-  size_t Claim() { return next.fetch_add(grain, std::memory_order_relaxed); }
+  /// First position of the next unclaimed window.
+  size_t Claim() {
+    return next.fetch_add(ir::kBatchSize, std::memory_order_relaxed);
+  }
 };
 
 /// Options controlling one execution of a physical plan.
@@ -37,7 +36,7 @@ struct ExecOptions {
   /// Morsel-driven sharding of the leading columnar SCAN / FUSED_SCAN:
   /// when set, the scan claims position windows from this shared source,
   /// so the workers running one prefix partition the scan between them.
-  /// Null (the default) scans every vertex.
+  /// Null (the default) claims every window from a private source.
   ScanMorselSource* morsels = nullptr;
   /// Checked between operators and at batch boundaries inside operators:
   /// execution stops with kDeadlineExceeded / kCancelled instead of
@@ -96,15 +95,14 @@ class Interpreter {
                       std::vector<ir::Batch>* batches, const ExecOptions& opts,
                       uint64_t op_span) const;
 
+  /// Leading SCAN / FUSED_SCAN, columnar: claims position windows from
+  /// `opts.morsels` (or a private source) and visits each through GRIN.
+  /// A fused scan's pushed conjuncts run inside the backend's scan loop,
+  /// so filtered-out rows never materialize; the residual refines the
+  /// window's batch, and a folded projection builds the output directly
+  /// from natively gathered property columns.
   Status ColumnarScan(const ir::Op& op, std::vector<ir::Batch>* out,
                       const ExecOptions& opts, uint64_t op_span) const;
-
-  /// FUSED_SCAN, columnar: splits the predicate into pushed conjuncts
-  /// (evaluated by the backend inside its scan loop, filtered-out rows
-  /// never materialize) and residual conjuncts, and builds folded
-  /// projection output directly from natively gathered property columns.
-  Status ColumnarFusedScan(const ir::Op& op, std::vector<ir::Batch>* out,
-                           const ExecOptions& opts, uint64_t fused_span) const;
 
   const grin::GrinGraph* graph_;
 };

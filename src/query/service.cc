@@ -200,6 +200,7 @@ Result<std::vector<ir::Row>> NaiveGraphDB::Run(
 
 Result<std::vector<ir::Row>> NaiveGraphDB::RunPlan(
     const ir::Plan& plan, std::vector<PropertyValue> params) {
+  FLEX_RETURN_NOT_OK(ir::CheckParams(plan, params.size()));
   MutexLock lock(&mu_);  // One query at a time.
   Interpreter interpreter(graph_);
   ExecOptions opts;

@@ -57,8 +57,10 @@ Result<std::vector<ir::Row>> GaiaEngine::Run(
     const ir::Plan& plan, std::vector<PropertyValue> params,
     Deadline deadline, const CancellationToken* cancel, trace::Trace* trace,
     uint64_t trace_parent) const {
-  // Admission: a dead-on-arrival query must not reach the workers.
+  // Admission: a dead-on-arrival query, or one short of parameters, must
+  // not reach the workers.
   FLEX_RETURN_NOT_OK(CheckRunnable(deadline, cancel, "gaia"));
+  FLEX_RETURN_NOT_OK(ir::CheckParams(plan, params.size()));
   trace::ScopedSpan engine_span(trace, "gaia", "engine", trace_parent);
   query::Interpreter interpreter(graph_);
   auto options = [&](uint64_t parent) {

@@ -29,7 +29,8 @@ class GaiaEngine {
   /// Runs `plan`. An already-expired deadline (or cancelled token) is
   /// rejected up front with kDeadlineExceeded / kCancelled before any
   /// operator executes; during execution both are re-checked at every
-  /// operator and batch boundary in every worker.
+  /// operator and batch boundary in every worker. A plan referencing a
+  /// $i beyond `params` is rejected up front with kInvalidArgument.
   ///
   /// When `trace` is non-null, a "gaia" span is recorded under
   /// `trace_parent` with per-shard / exchange / suffix children.

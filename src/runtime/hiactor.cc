@@ -64,10 +64,14 @@ std::future<Result<std::vector<ir::Row>>> HiActorEngine::Submit(
   std::future<Result<std::vector<ir::Row>>> future =
       task.promise.get_future();
   // Admission: a task that is already dead (expired deadline, cancelled
-  // token) must not consume a queue slot or execute.
+  // token) or short of parameters must not consume a queue slot or
+  // execute.
   {
     Status admit = CheckRunnable(task.query.deadline, task.query.cancel,
                                  "hiactor.submit");
+    if (admit.ok()) {
+      admit = ir::CheckParams(*task.query.plan, task.query.params.size());
+    }
     if (!admit.ok()) {
       task.promise.set_value(std::move(admit));
       return future;

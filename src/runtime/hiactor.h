@@ -59,7 +59,8 @@ class HiActorEngine {
       const std::string& name, std::vector<PropertyValue> params,
       std::shared_ptr<const grin::GrinGraph> graph = nullptr);
 
-  /// Enqueues an ad-hoc task.
+  /// Enqueues an ad-hoc task. A task whose plan references a $i beyond
+  /// its params resolves with kInvalidArgument without being queued.
   std::future<Result<std::vector<ir::Row>>> Submit(QueryTask task);
 
   /// Convenience: submit + wait.

@@ -220,7 +220,7 @@ uint32_t SnapshotFingerprint(const grin::GrinGraph& graph) {
       size_t ncols;
     } ctx{&graph, &buf, ncols};
     graph.VisitVertices(
-        label, nullptr, nullptr,
+        label, 0, graph.NumVerticesOfLabel(label),
         [](void* c, vid_t v) {
           auto* cx = static_cast<Ctx*>(c);
           PutVarintSigned(cx->buf, cx->g->GetOid(v));
@@ -255,8 +255,9 @@ uint32_t SnapshotFingerprint(const grin::GrinGraph& graph) {
         uint32_t* state;
         label_t edge_label;
       } adj_ctx{&graph, &buf, &state, static_cast<label_t>(el)};
+      const auto label = static_cast<label_t>(vl);
       graph.VisitVertices(
-          static_cast<label_t>(vl), nullptr, nullptr,
+          label, 0, graph.NumVerticesOfLabel(label),
           [](void* c, vid_t v) {
             auto* cx = static_cast<AdjCtx*>(c);
             PutVarint64(cx->buf, v);

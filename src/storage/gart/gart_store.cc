@@ -509,35 +509,32 @@ class GartSnapshot final : public grin::GrinGraph {
     return store_->vertex_labels_[v];
   }
 
-  void VisitVertices(label_t label, grin::VertexPredicate pred,
-                     void* pred_ctx, bool (*visitor)(void*, vid_t),
+  void VisitVertices(label_t label, size_t begin, size_t end,
+                     bool (*visitor)(void*, vid_t),
                      void* visitor_ctx) const override {
     FLEX_COUNTER_INC(metrics::kStorageScansTotal);
     const auto& vids = store_->label_vertices_[label];
-    const size_t visible = VisibleCount(label);
-    for (size_t i = 0; i < visible; ++i) {
-      const vid_t v = vids[i];
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
-      if (!visitor(visitor_ctx, v)) return;
+    end = std::min(end, VisibleCount(label));
+    for (size_t i = begin; i < end; ++i) {
+      if (!visitor(visitor_ctx, vids[i])) return;
     }
   }
 
-  bool VisitVerticesFiltered(label_t label, grin::VertexPredicate pred,
-                             void* pred_ctx, const grin::VertexFilter& filter,
+  bool VisitVerticesFiltered(label_t label, size_t begin, size_t end,
+                             const grin::VertexFilter& filter,
                              std::span<const size_t> project_cols,
                              grin::FilteredVertexVisitor visitor,
                              void* visitor_ctx) const override {
     // Native pushdown scan: one shared-lock acquisition covers predicate
-    // and projection property resolution for the whole label scan (the
-    // boxed fallback would re-acquire mu_ for every property read).
+    // and projection property resolution for the whole window (the boxed
+    // fallback would re-acquire mu_ for every property read).
     FLEX_COUNTER_INC(metrics::kStorageScansTotal);
     std::shared_lock<std::shared_mutex> lock(store_->mu_);
     const auto& vids = store_->label_vertices_[label];
-    const size_t visible = VisibleCount(label);
+    end = std::min(end, VisibleCount(label));
     std::vector<PropertyValue> props(project_cols.size());
-    for (size_t i = 0; i < visible; ++i) {
+    for (size_t i = begin; i < end; ++i) {
       const vid_t v = vids[i];
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
       if (!MatchesFilterLocked(filter, v)) {
         FLEX_COUNTER_INC(metrics::kFusedRowsPrunedTotal);
         continue;

@@ -532,23 +532,24 @@ class GraphArDirectGraph final : public grin::GrinGraph {
     return {label_start_[label], label_start_[label + 1]};
   }
 
-  void VisitVertices(label_t label, grin::VertexPredicate pred,
-                     void* pred_ctx, bool (*visitor)(void*, vid_t),
+  void VisitVertices(label_t label, size_t begin, size_t end,
+                     bool (*visitor)(void*, vid_t),
                      void* visitor_ctx) const override {
     FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    for (vid_t v = label_start_[label]; v < label_start_[label + 1]; ++v) {
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
-      if (!visitor(visitor_ctx, v)) return;
+    const vid_t first = label_start_[label];
+    end = std::min<size_t>(end, NumVerticesOfLabel(label));
+    for (size_t row = begin; row < end; ++row) {
+      if (!visitor(visitor_ctx, static_cast<vid_t>(first + row))) return;
     }
   }
 
-  bool VisitVerticesFiltered(label_t label, grin::VertexPredicate pred,
-                             void* pred_ctx, const grin::VertexFilter& filter,
+  bool VisitVerticesFiltered(label_t label, size_t begin, size_t end,
+                             const grin::VertexFilter& filter,
                              std::span<const size_t> project_cols,
                              grin::FilteredVertexVisitor visitor,
                              void* visitor_ctx) const override {
     // Native pushdown scan: the section lookup and chunk-table parse
-    // happen once per referenced column for the whole scan, and each
+    // happen once per referenced column for the whole window, and each
     // column's one-chunk decode cache rides the sequential row order.
     // The boxed fallback (GetVertexProperty per vertex) rebuilds the
     // section name and re-parses the chunk table on every access.
@@ -607,9 +608,9 @@ class GraphArDirectGraph final : public grin::GrinGraph {
     for (const size_t col : project_cols) proj_cols.push_back(open_column(col));
 
     std::vector<PropertyValue> props(project_cols.size());
-    for (vid_t v = label_start_[label]; v < label_start_[label + 1]; ++v) {
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
-      const size_t row = v - label_start_[label];
+    end = std::min<size_t>(end, NumVerticesOfLabel(label));
+    for (size_t row = begin; row < end; ++row) {
+      const auto v = static_cast<vid_t>(label_start_[label] + row);
       bool pass = true;
       for (size_t i = 0; i < filter.conditions.size(); ++i) {
         if (!grin::MatchesCondition(filter.conditions[i],

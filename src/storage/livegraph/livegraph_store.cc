@@ -143,13 +143,13 @@ class LiveGraphGrin final : public grin::GrinGraph {
     return {0, num_vertices_};
   }
 
-  void VisitVertices(label_t, grin::VertexPredicate pred, void* pred_ctx,
+  void VisitVertices(label_t, size_t begin, size_t end,
                      bool (*visitor)(void*, vid_t),
                      void* visitor_ctx) const override {
     FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    for (vid_t v = 0; v < num_vertices_; ++v) {
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
-      if (!visitor(visitor_ctx, v)) return;
+    end = std::min<size_t>(end, num_vertices_);
+    for (size_t v = begin; v < end; ++v) {
+      if (!visitor(visitor_ctx, static_cast<vid_t>(v))) return;
     }
   }
 

@@ -1,5 +1,7 @@
 #include "storage/simple.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/metric_names.h"
 #include "common/metrics.h"
@@ -41,8 +43,7 @@ class SimpleGrinGraph final : public grin::GrinGraph {
 
   uint32_t capabilities() const override {
     return grin::kVertexListArray | grin::kAdjacentListArray |
-           grin::kAdjacentListIterator | grin::kOidIndex | grin::kLabelIndex |
-           grin::kPredicatePushdown;
+           grin::kAdjacentListIterator | grin::kOidIndex | grin::kLabelIndex;
   }
 
   const GraphSchema& schema() const override { return store_->schema(); }
@@ -55,45 +56,14 @@ class SimpleGrinGraph final : public grin::GrinGraph {
     return {0, NumVertices()};
   }
 
-  void VisitVertices(label_t, grin::VertexPredicate pred, void* pred_ctx,
+  void VisitVertices(label_t, size_t begin, size_t end,
                      bool (*visitor)(void*, vid_t),
                      void* visitor_ctx) const override {
     FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    const vid_t n = NumVertices();
-    for (vid_t v = 0; v < n; ++v) {
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
-      if (!visitor(visitor_ctx, v)) return;
+    end = std::min<size_t>(end, NumVertices());
+    for (size_t v = begin; v < end; ++v) {
+      if (!visitor(visitor_ctx, static_cast<vid_t>(v))) return;
     }
-  }
-
-  bool VisitVerticesFiltered(label_t, grin::VertexPredicate pred,
-                             void* pred_ctx, const grin::VertexFilter& filter,
-                             std::span<const size_t> project_cols,
-                             grin::FilteredVertexVisitor visitor,
-                             void* visitor_ctx) const override {
-    // The simple store carries no vertex properties, so every condition
-    // compares against the empty value and the verdict is vertex-invariant:
-    // decide once, then either stream all pred-passing vids or count them
-    // all as pruned.
-    FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    bool pass = true;
-    for (const grin::VertexCondition& c : filter.conditions) {
-      if (!grin::MatchesCondition(c, PropertyValue())) {
-        pass = false;
-        break;
-      }
-    }
-    const std::vector<PropertyValue> props(project_cols.size());
-    const vid_t n = NumVertices();
-    for (vid_t v = 0; v < n; ++v) {
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
-      if (!pass) {
-        FLEX_COUNTER_INC(metrics::kFusedRowsPrunedTotal);
-        continue;
-      }
-      if (!visitor(visitor_ctx, v, props)) return false;
-    }
-    return true;
   }
 
   bool VisitAdj(vid_t v, Direction dir, label_t edge_label,

@@ -208,14 +208,14 @@ class VineyardGrin final : public grin::GrinGraph {
     return store_->VertexRange(label);
   }
 
-  void VisitVertices(label_t label, grin::VertexPredicate pred,
-                     void* pred_ctx, bool (*visitor)(void*, vid_t),
+  void VisitVertices(label_t label, size_t begin, size_t end,
+                     bool (*visitor)(void*, vid_t),
                      void* visitor_ctx) const override {
     FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    auto [begin, end] = store_->VertexRange(label);
-    for (vid_t v = begin; v < end; ++v) {
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
-      if (!visitor(visitor_ctx, v)) return;
+    const auto [first, last] = store_->VertexRange(label);
+    end = std::min<size_t>(end, last - first);
+    for (size_t i = begin; i < end; ++i) {
+      if (!visitor(visitor_ctx, static_cast<vid_t>(first + i))) return;
     }
   }
 

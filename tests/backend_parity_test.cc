@@ -5,12 +5,15 @@
 // index trait (oid -> vid -> oid) and normalizes adjacency to sorted oid
 // lists; after that, PageRank runs the exact same FP operations in the
 // exact same order for every backend, making EXPECT_EQ on doubles the
-// honest comparison, not an approximation.
+// honest comparison, not an approximation. The scan-window tests hold
+// every backend to GRIN's position-window contract, and each native
+// filtered scan to the GrinGraph default on the same handle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -225,6 +228,199 @@ TEST(BackendParityTest, TwoHopNeighborhoodsAgreeAcrossBackends) {
     for (size_t i = 1; i < backends.size(); ++i) {
       EXPECT_EQ(TwoHop(*backends[i].graph, source), reference)
           << backends[i].name << " source " << source;
+    }
+  }
+}
+
+// ------------------------------------------------ GRIN scan windows
+
+/// Vids of `label` at scan positions [begin, end).
+std::vector<vid_t> VisitWindow(const grin::GrinGraph& g, label_t label,
+                               size_t begin, size_t end) {
+  std::vector<vid_t> out;
+  g.VisitVertices(
+      label, begin, end,
+      [](void* raw, vid_t v) {
+        static_cast<std::vector<vid_t>*>(raw)->push_back(v);
+        return true;
+      },
+      &out);
+  return out;
+}
+
+/// Checks the window contract on `label`: 7-position windows concatenate
+/// to the full-label order, a window at or past the end visits nothing,
+/// and an `end` past the label clamps.
+void ExpectWindowsTileLabel(const grin::GrinGraph& g, label_t label) {
+  const size_t n = g.NumVerticesOfLabel(label);
+  const std::vector<vid_t> full = VisitWindow(g, label, 0, n);
+  ASSERT_EQ(full.size(), n);
+  std::vector<vid_t> tiled;
+  for (size_t begin = 0; begin < n; begin += 7) {
+    const std::vector<vid_t> part = VisitWindow(g, label, begin, begin + 7);
+    EXPECT_EQ(part.size(), std::min<size_t>(7, n - begin)) << begin;
+    tiled.insert(tiled.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(tiled, full);
+  EXPECT_TRUE(VisitWindow(g, label, n, n + 7).empty());
+  EXPECT_TRUE(VisitWindow(g, label, n + 7, n + 14).empty());
+  EXPECT_EQ(VisitWindow(g, label, 0, n + 1000), full);
+  if (n > 3) {
+    EXPECT_EQ(VisitWindow(g, label, n - 3, n + 1000),
+              std::vector<vid_t>(full.end() - 3, full.end()));
+  }
+}
+
+TEST(BackendParityTest, ScanWindowsTileTheLabelOnEveryBackend) {
+  const EdgeList list = ParityGraph();
+  const auto backends = BuildBackends(list);
+  for (const Backend& b : backends) {
+    SCOPED_TRACE(b.name);
+    ExpectWindowsTileLabel(*b.graph, 0);
+    // The scan order enumerates every vertex exactly once.
+    std::vector<oid_t> oids;
+    for (const vid_t v : VisitWindow(*b.graph, 0, 0, list.num_vertices)) {
+      oids.push_back(b.graph->GetOid(v));
+    }
+    std::sort(oids.begin(), oids.end());
+    ASSERT_EQ(oids.size(), list.num_vertices);
+    for (size_t i = 0; i < oids.size(); ++i) {
+      EXPECT_EQ(oids[i], static_cast<oid_t>(i));
+    }
+  }
+}
+
+/// Two labels with an int and a string property, their vertices added
+/// interleaved so each label's scan order differs from global insertion
+/// order.
+PropertyGraphData LabelledGraph() {
+  PropertyGraphData data;
+  const std::vector<PropertyDef> props = {{"num", PropertyType::kInt64},
+                                          {"name", PropertyType::kString}};
+  const label_t a = data.schema.AddVertexLabel("A", props).value();
+  const label_t b = data.schema.AddVertexLabel("B", props).value();
+  EXPECT_TRUE(data.schema.AddEdgeLabel("E", a, b, {}).ok());
+  for (oid_t i = 0; i < 50; ++i) {
+    const std::vector<PropertyValue> values = {
+        PropertyValue(int64_t{(i * 7) % 11 - 3}),
+        PropertyValue("n" + std::to_string(i % 5))};
+    data.AddVertex(i % 3 == 0 ? b : a, i, values);
+  }
+  data.AddEdge(0, 1, 0, {});
+  return data;
+}
+
+/// One filtered window, rendered as "vid|type:value|..." per survivor.
+/// `native` selects the backend's override; otherwise the GrinGraph
+/// default runs on the same handle.
+std::vector<std::string> FilteredWindow(const grin::GrinGraph& g, bool native,
+                                        label_t label, size_t begin,
+                                        size_t end,
+                                        const grin::VertexFilter& filter,
+                                        std::span<const size_t> cols) {
+  std::vector<std::string> out;
+  auto visitor = [](void* raw, vid_t v,
+                    std::span<const PropertyValue> props) -> bool {
+    std::string row = std::to_string(v);
+    for (const PropertyValue& p : props) {
+      row += "|" + std::to_string(static_cast<int>(p.type())) + ":" +
+             p.ToString();
+    }
+    static_cast<std::vector<std::string>*>(raw)->push_back(std::move(row));
+    return true;
+  };
+  if (native) {
+    g.VisitVerticesFiltered(label, begin, end, filter, cols, visitor, &out);
+  } else {
+    g.grin::GrinGraph::VisitVerticesFiltered(label, begin, end, filter, cols,
+                                             visitor, &out);
+  }
+  return out;
+}
+
+TEST(BackendParityTest, NativeFilteredWindowsMatchTheGrinDefault) {
+  const PropertyGraphData data = LabelledGraph();
+  std::vector<Backend> backends;
+  {
+    std::shared_ptr<storage::VineyardStore> store =
+        std::move(storage::VineyardStore::Build(data).value());
+    std::shared_ptr<grin::GrinGraph> g = store->GetGrinHandle();
+    backends.push_back(
+        {"vineyard", g.get(),
+         std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
+  }
+  {
+    std::shared_ptr<storage::GartStore> store =
+        std::move(storage::GartStore::Build(data).value());
+    std::shared_ptr<grin::GrinGraph> g = store->GetSnapshot();
+    backends.push_back(
+        {"gart", g.get(),
+         std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
+  }
+  {
+    const std::string path = testing::TempDir() + "backend_windows.gar";
+    ASSERT_TRUE(storage::graphar::WriteGraphAr(path, data).ok());
+    std::shared_ptr<storage::graphar::GraphArReader> reader =
+        std::move(storage::graphar::GraphArReader::Open(path).value());
+    std::shared_ptr<grin::GrinGraph> g =
+        std::move(reader->OpenDirect().value());
+    backends.push_back(
+        {"graphar", g.get(),
+         std::make_shared<std::pair<decltype(reader), decltype(g)>>(reader,
+                                                                    g)});
+  }
+
+  using Cmp = grin::VertexCondition::Cmp;
+  const Cmp kCmps[] = {Cmp::kEq, Cmp::kNe, Cmp::kLt,
+                       Cmp::kLe, Cmp::kGt, Cmp::kGe};
+  std::vector<grin::VertexFilter> filters;
+  filters.push_back({});  // Empty: every vertex survives.
+  for (const Cmp cmp : kCmps) {
+    filters.push_back({{{0, cmp, PropertyValue(int64_t{2})}}});
+    filters.push_back({{{1, cmp, PropertyValue("n2")}}});
+  }
+  // A property the schema could not resolve compares as the empty value.
+  filters.push_back(
+      {{{grin::VertexCondition::kNoColumn, Cmp::kEq, PropertyValue()}}});
+  filters.push_back(
+      {{{grin::VertexCondition::kNoColumn, Cmp::kNe, PropertyValue()}}});
+  filters.push_back({{{0, Cmp::kGe, PropertyValue(int64_t{0})},
+                      {1, Cmp::kNe, PropertyValue("n1")}}});
+  const std::vector<size_t> no_cols;
+  const std::vector<size_t> cols = {1, 0};
+
+  for (const Backend& b : backends) {
+    SCOPED_TRACE(b.name);
+    const grin::GrinGraph& g = *b.graph;
+    for (label_t label = 0; label < 2; ++label) {
+      ExpectWindowsTileLabel(g, label);
+      const size_t n = g.NumVerticesOfLabel(label);
+      for (size_t f = 0; f < filters.size(); ++f) {
+        SCOPED_TRACE("label " + std::to_string(label) + " filter " +
+                     std::to_string(f));
+        for (const std::span<const size_t> project : {std::span(no_cols),
+                                                      std::span(cols)}) {
+          std::vector<std::string> tiled;
+          for (size_t begin = 0; begin < n + 7; begin += 7) {
+            const auto native =
+                FilteredWindow(g, true, label, begin, begin + 7, filters[f],
+                               project);
+            EXPECT_EQ(native, FilteredWindow(g, false, label, begin,
+                                             begin + 7, filters[f], project))
+                << "window " << begin;
+            tiled.insert(tiled.end(), native.begin(), native.end());
+          }
+          EXPECT_EQ(tiled, FilteredWindow(g, false, label, 0, n, filters[f],
+                                          project));
+        }
+      }
+      // The empty filter keeps the whole label, in VisitVertices order.
+      const auto all = FilteredWindow(g, true, label, 0, n, filters[0], {});
+      const auto vids = VisitWindow(g, label, 0, n);
+      ASSERT_EQ(all.size(), vids.size());
+      for (size_t i = 0; i < vids.size(); ++i) {
+        EXPECT_EQ(all[i], std::to_string(vids[i]));
+      }
     }
   }
 }

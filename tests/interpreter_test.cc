@@ -347,7 +347,7 @@ TEST_F(InterpreterOpTest, MorselSourceHandsOutEachWindowOnce) {
   const ir::Plan plan = b.Build();
 
   Interpreter interp(graph_.get());
-  ScanMorselSource morsels(/*grain_size=*/2);
+  ScanMorselSource morsels;
   ExecOptions opts;
   opts.morsels = &morsels;
   // The first "worker" drains every morsel window (claims are handed out

@@ -6,6 +6,7 @@
 // EXPLAIN surface, and the flag/capability-aware plan-cache key.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -380,6 +381,20 @@ TEST_F(PlanShapeTest, ExplainRendersFusionAndPushdown) {
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_EQ(plain.value().find("FUSED_"), std::string::npos)
       << plain.value();
+}
+
+TEST_F(PlanShapeTest, ExplainRendersEstimatesPastUint64) {
+  // A label-less cartesian product estimates past 2^64 rows; EXPLAIN must
+  // render that magnitude instead of an undefined integer cast.
+  auto explain =
+      service_->Explain(Language::kCypher, "MATCH (a), (b) RETURN a");
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  const std::string& text = explain.value();
+  const std::string key = "est_peak_rows=";
+  const size_t at = text.rfind(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_GE(std::strtod(text.c_str() + at + key.size(), nullptr), 0x1p64)
+      << text;
 }
 
 TEST_F(PlanShapeTest, PlanCacheKeySegments) {

@@ -625,6 +625,69 @@ TEST_F(QueryTest, HugeDoubleGroupKeysAndSums) {
             (std::vector<std::string>{"50000000000000000000.000000"}));
 }
 
+TEST_F(QueryTest, MissingParametersAreRejected) {
+  // A $i beyond the supplied params is refused at each engine's admission
+  // with kInvalidArgument instead of reaching expression evaluation.
+  const std::string by_second = "MATCH (b:Buyer {id: $1}) RETURN b.username";
+  const std::string by_first =
+      "MATCH (b:Buyer) WHERE b.id = $0 RETURN b.username";
+  const std::vector<PropertyValue> one = {PropertyValue(int64_t{2})};
+  QueryService service(graph_.get(), 4);
+  for (EngineKind engine : {EngineKind::kGaia, EngineKind::kHiActor}) {
+    EXPECT_EQ(service.Run(Language::kCypher, by_second, engine, one)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(service.Run(Language::kCypher, by_first, engine).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(
+      service.RegisterProcedure("by_first", Language::kCypher, by_first).ok());
+  auto submitted = service.hiactor().SubmitProcedure("by_first", {});
+  ASSERT_TRUE(submitted.ok());
+  EXPECT_EQ(submitted.value().get().status().code(),
+            StatusCode::kInvalidArgument);
+  NaiveGraphDB naive(graph_.get());
+  EXPECT_EQ(naive.Run(Language::kCypher, by_second, one).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(naive.Run(Language::kCypher, by_first).status().code(),
+            StatusCode::kInvalidArgument);
+  // Supplying enough parameters runs everywhere.
+  const std::vector<PropertyValue> two = {PropertyValue(int64_t{9}),
+                                          PropertyValue(int64_t{2})};
+  EXPECT_EQ(RunEverywhere(Language::kCypher, by_second, two),
+            (std::vector<std::string>{"B2"}));
+  EXPECT_EQ(RunEverywhere(Language::kCypher, by_first, one),
+            (std::vector<std::string>{"B2"}));
+}
+
+TEST_F(QueryTest, OverlongNumericLiteralsAreParseErrors) {
+  // Out-of-range literals come back as kParseError, never an exception.
+  const std::string huge_decimal = std::string(400, '9') + ".5";
+  EXPECT_EQ(RunCypher("MATCH (b:Buyer {id: $99999999999999999999}) "
+                      "RETURN b.username")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(RunCypher("MATCH (b:Buyer) WHERE b.credits < " + huge_decimal +
+                      " RETURN b.username")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(lang::ParseGremlin("g.V().hasLabel('Buyer').has('credits', lt(" +
+                                   huge_decimal + "))",
+                               graph_->schema())
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  // In-range literals of the same shapes still parse and run.
+  auto rows = RunCypher(
+      "MATCH (b:Buyer {id: $0}) WHERE b.credits < 25.5 RETURN b.username",
+      {PropertyValue(int64_t{2})});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(RowsToStrings(rows.value()), (std::vector<std::string>{"B2"}));
+}
+
 // ----------------------------------------------------- Randomized check
 
 TEST_F(QueryTest, RandomGraphTwoHopAgainstBruteForce) {

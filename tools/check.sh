@@ -53,6 +53,13 @@
 # commit; the same binaries also run as ctest tests in tier-1 and so are
 # exercised inside the sanitizer passes automatically.
 #
+# The flexbench pass runs `python3 bench/flexbench/run.py --smoke`: it
+# builds the benchmark, runs all four workloads (interactive, bi,
+# analytics, htap) at smoke size, and exits non-zero on any failed
+# operation or output-oracle mismatch. It is the only check that runs
+# every workload's oracle end to end, including Gaia at 2 workers against
+# NaiveGraphDB.
+#
 # The tidy pass runs clang-tidy (the curated .clang-tidy at the repo
 # root: bugprone-*, concurrency-*, performance-*) over src/common/ and
 # src/runtime/ using the compile database from the static build tree.
@@ -62,13 +69,15 @@
 #
 # Usage:
 #   tools/check.sh            # all passes (static, asan, tsan, chaos,
-#                             # crash, coverage, bench; tidy when available)
+#                             # crash, flexbench, coverage, bench; tidy
+#                             # when available)
 #   tools/check.sh asan       # address+undefined only
 #   tools/check.sh tsan       # thread only
 #   tools/check.sh chaos      # multi-seed chaos harness under both sanitizers
 #   tools/check.sh serving    # multi-seed serving suite under both sanitizers
 #   tools/check.sh crash      # multi-seed crash-recovery suite under ASan+UBSan
 #   tools/check.sh coverage   # gcov line coverage + floor on src/common/
+#   tools/check.sh flexbench  # every flexbench workload's oracle, smoke size
 #   tools/check.sh bench      # perf ratchet vs BENCH_exp3_analytics.json
 #   tools/check.sh static     # flexlint + flexcheck over the tree
 #   tools/check.sh tidy       # clang-tidy over src/common/ + src/runtime/
@@ -230,6 +239,11 @@ run_crash() {
   done
 }
 
+run_flexbench() {
+  echo "=== flexbench: all workloads at smoke size, oracles checked ==="
+  python3 "$ROOT/bench/flexbench/run.py" --smoke
+}
+
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:suppressions=$SUPP/asan.supp"
 export LSAN_OPTIONS="suppressions=$SUPP/lsan.supp"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:suppressions=$SUPP/ubsan.supp"
@@ -246,6 +260,7 @@ case "$MODES" in
   crash) run_crash ;;
   coverage) run_coverage ;;
   bench) run_bench ;;
+  flexbench) run_flexbench ;;
   static) run_static ;;
   tidy) run_tidy ;;
   all)
@@ -258,11 +273,12 @@ case "$MODES" in
     run_chaos tsan thread
     run_serving
     run_crash
+    run_flexbench
     run_coverage
     run_bench
     ;;
   *)
-    echo "usage: tools/check.sh [asan|tsan|chaos|serving|crash|coverage|bench|static|tidy|all]" >&2
+    echo "usage: tools/check.sh [asan|tsan|chaos|serving|crash|coverage|bench|flexbench|static|tidy|all]" >&2
     exit 2
     ;;
 esac
