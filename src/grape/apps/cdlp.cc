@@ -40,24 +40,10 @@ void CdlpApp::SendLabels(const Fragment& frag, PieContext<uint32_t>& ctx) {
 }
 
 std::vector<uint32_t> RunCdlp(
-    const std::vector<std::unique_ptr<Fragment>>& fragments, int rounds,
-    MessageMode mode) {
-  std::vector<std::unique_ptr<PieApp<uint32_t>>> apps;
-  std::vector<const CdlpApp*> typed;
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    auto app = std::make_unique<CdlpApp>(rounds);
-    typed.push_back(app.get());
-    apps.push_back(std::move(app));
-  }
-  RunPie(fragments, apps, mode);
-  std::vector<uint32_t> merged(
-      fragments.empty() ? 0 : fragments[0]->total_vertices(), kInvalidVid);
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    for (vid_t v : fragments[i]->inner_vertices()) {
-      merged[v] = typed[i]->labels()[v];
-    }
-  }
-  return merged;
+    const std::vector<std::unique_ptr<Fragment>>& fragments, int rounds) {
+  return RunAndMerge<uint32_t, CdlpApp>(
+      fragments, [&] { return std::make_unique<CdlpApp>(rounds); },
+      [](const CdlpApp& app, vid_t v) { return app.labels()[v]; });
 }
 
 }  // namespace flex::grape

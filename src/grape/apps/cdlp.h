@@ -33,8 +33,7 @@ class CdlpApp : public PieApp<uint32_t> {
 };
 
 std::vector<uint32_t> RunCdlp(
-    const std::vector<std::unique_ptr<Fragment>>& fragments, int rounds,
-    MessageMode mode = MessageMode::kAggregated);
+    const std::vector<std::unique_ptr<Fragment>>& fragments, int rounds);
 
 }  // namespace flex::grape
 

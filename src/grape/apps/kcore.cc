@@ -31,24 +31,10 @@ void KCoreApp::Remove(const Fragment& frag, PieContext<uint32_t>& ctx,
 }
 
 std::vector<uint8_t> RunKCore(
-    const std::vector<std::unique_ptr<Fragment>>& fragments, uint32_t k,
-    MessageMode mode) {
-  std::vector<std::unique_ptr<PieApp<uint32_t>>> apps;
-  std::vector<const KCoreApp*> typed;
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    auto app = std::make_unique<KCoreApp>(k);
-    typed.push_back(app.get());
-    apps.push_back(std::move(app));
-  }
-  RunPie(fragments, apps, mode);
-  std::vector<uint8_t> merged(
-      fragments.empty() ? 0 : fragments[0]->total_vertices(), 0);
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    for (vid_t v : fragments[i]->inner_vertices()) {
-      merged[v] = typed[i]->alive()[v];
-    }
-  }
-  return merged;
+    const std::vector<std::unique_ptr<Fragment>>& fragments, uint32_t k) {
+  return RunAndMerge<uint32_t, KCoreApp>(
+      fragments, [&] { return std::make_unique<KCoreApp>(k); },
+      [](const KCoreApp& app, vid_t v) { return app.alive()[v]; });
 }
 
 }  // namespace flex::grape

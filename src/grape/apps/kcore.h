@@ -30,8 +30,7 @@ class KCoreApp : public PieApp<uint32_t> {
 
 /// Returns, per vertex, whether it belongs to the k-core.
 std::vector<uint8_t> RunKCore(
-    const std::vector<std::unique_ptr<Fragment>>& fragments, uint32_t k,
-    MessageMode mode = MessageMode::kAggregated);
+    const std::vector<std::unique_ptr<Fragment>>& fragments, uint32_t k);
 
 }  // namespace flex::grape
 

@@ -64,24 +64,12 @@ void PageRankApp::SendContributions(const Fragment& frag,
 std::vector<double> RunPageRank(
     const std::vector<std::unique_ptr<Fragment>>& fragments, int iterations,
     double damping, MessageMode mode) {
-  std::vector<std::unique_ptr<PieApp<double>>> apps;
-  std::vector<const PageRankApp*> typed;
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    auto app = std::make_unique<PageRankApp>(iterations, damping);
-    typed.push_back(app.get());
-    apps.push_back(std::move(app));
-  }
-  RunPie(fragments, apps, mode);
-  std::vector<double> merged(fragments.empty()
-                                 ? 0
-                                 : fragments[0]->total_vertices(),
-                             0.0);
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    for (vid_t v : fragments[i]->inner_vertices()) {
-      merged[v] = typed[i]->ranks()[v];
-    }
-  }
-  return merged;
+  PieOptions options;
+  options.mode = mode;
+  return RunAndMerge<double, PageRankApp>(
+      fragments,
+      [&] { return std::make_unique<PageRankApp>(iterations, damping); },
+      [](const PageRankApp& app, vid_t v) { return app.ranks()[v]; }, options);
 }
 
 }  // namespace flex::grape

@@ -39,9 +39,8 @@ class PageRankApp : public PieApp<double> {
   std::vector<vid_t> touched_outer_;
 };
 
-/// Convenience runner: partitions nothing (uses prebuilt fragments), runs
-/// `iterations` rounds and merges per-fragment results into one global
-/// rank vector.
+/// Runs `iterations` rounds on prebuilt fragments and merges the ranks into
+/// one global vector. `mode` selects the message aggregation ablation.
 std::vector<double> RunPageRank(
     const std::vector<std::unique_ptr<Fragment>>& fragments, int iterations,
     double damping = 0.85, MessageMode mode = MessageMode::kAggregated);

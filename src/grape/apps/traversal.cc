@@ -1,29 +1,6 @@
 #include "grape/apps/traversal.h"
 
-#include <algorithm>
-#include <deque>
-
 namespace flex::grape {
-
-namespace {
-
-/// Shared merge helper: copy each fragment's inner entries into one global
-/// result vector.
-template <typename App, typename T, typename Getter>
-std::vector<T> Merge(const std::vector<std::unique_ptr<Fragment>>& fragments,
-                     const std::vector<const App*>& apps, T init,
-                     Getter getter) {
-  std::vector<T> merged(
-      fragments.empty() ? 0 : fragments[0]->total_vertices(), init);
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    for (vid_t v : fragments[i]->inner_vertices()) {
-      merged[v] = getter(*apps[i], v);
-    }
-  }
-  return merged;
-}
-
-}  // namespace
 
 // -------------------------------------------------------------------- BFS
 //
@@ -129,18 +106,9 @@ void BfsApp::LocalFixpoint(const Fragment& frag, PieContext<uint32_t>& ctx) {
 }
 
 std::vector<uint32_t> RunBfs(
-    const std::vector<std::unique_ptr<Fragment>>& fragments, vid_t source,
-    MessageMode mode) {
-  std::vector<std::unique_ptr<PieApp<uint32_t>>> apps;
-  std::vector<const BfsApp*> typed;
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    auto app = std::make_unique<BfsApp>(source);
-    typed.push_back(app.get());
-    apps.push_back(std::move(app));
-  }
-  RunPie(fragments, apps, mode);
-  return Merge<BfsApp, uint32_t>(
-      fragments, typed, kUnreachedDepth,
+    const std::vector<std::unique_ptr<Fragment>>& fragments, vid_t source) {
+  return RunAndMerge<uint32_t, BfsApp>(
+      fragments, [&] { return std::make_unique<BfsApp>(source); },
       [](const BfsApp& app, vid_t v) { return app.depths()[v]; });
 }
 
@@ -198,18 +166,9 @@ void SsspApp::LocalFixpoint(const Fragment& frag, PieContext<double>& ctx) {
 }
 
 std::vector<double> RunSssp(
-    const std::vector<std::unique_ptr<Fragment>>& fragments, vid_t source,
-    MessageMode mode) {
-  std::vector<std::unique_ptr<PieApp<double>>> apps;
-  std::vector<const SsspApp*> typed;
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    auto app = std::make_unique<SsspApp>(source);
-    typed.push_back(app.get());
-    apps.push_back(std::move(app));
-  }
-  RunPie(fragments, apps, mode);
-  return Merge<SsspApp, double>(
-      fragments, typed, kUnreachedDist,
+    const std::vector<std::unique_ptr<Fragment>>& fragments, vid_t source) {
+  return RunAndMerge<double, SsspApp>(
+      fragments, [&] { return std::make_unique<SsspApp>(source); },
       [](const SsspApp& app, vid_t v) { return app.distances()[v]; });
 }
 
@@ -263,18 +222,9 @@ void WccApp::LocalFixpoint(const Fragment& frag, PieContext<uint32_t>& ctx) {
 }
 
 std::vector<uint32_t> RunWcc(
-    const std::vector<std::unique_ptr<Fragment>>& fragments,
-    MessageMode mode) {
-  std::vector<std::unique_ptr<PieApp<uint32_t>>> apps;
-  std::vector<const WccApp*> typed;
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    auto app = std::make_unique<WccApp>();
-    typed.push_back(app.get());
-    apps.push_back(std::move(app));
-  }
-  RunPie(fragments, apps, mode);
-  return Merge<WccApp, uint32_t>(
-      fragments, typed, kInvalidVid,
+    const std::vector<std::unique_ptr<Fragment>>& fragments) {
+  return RunAndMerge<uint32_t, WccApp>(
+      fragments, [] { return std::make_unique<WccApp>(); },
       [](const WccApp& app, vid_t v) { return app.labels()[v]; });
 }
 

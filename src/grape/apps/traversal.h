@@ -39,8 +39,7 @@ class BfsApp : public PieApp<uint32_t> {
 };
 
 std::vector<uint32_t> RunBfs(
-    const std::vector<std::unique_ptr<Fragment>>& fragments, vid_t source,
-    MessageMode mode = MessageMode::kAggregated);
+    const std::vector<std::unique_ptr<Fragment>>& fragments, vid_t source);
 
 /// Single-source shortest paths (PIE): local Bellman-Ford fixpoint per
 /// round, min-combined boundary messages.
@@ -64,8 +63,7 @@ class SsspApp : public PieApp<double> {
 };
 
 std::vector<double> RunSssp(
-    const std::vector<std::unique_ptr<Fragment>>& fragments, vid_t source,
-    MessageMode mode = MessageMode::kAggregated);
+    const std::vector<std::unique_ptr<Fragment>>& fragments, vid_t source);
 
 /// Weakly connected components (PIE): min-label local fixpoint along both
 /// edge directions, min-combined boundary messages.
@@ -86,8 +84,7 @@ class WccApp : public PieApp<uint32_t> {
 };
 
 std::vector<uint32_t> RunWcc(
-    const std::vector<std::unique_ptr<Fragment>>& fragments,
-    MessageMode mode = MessageMode::kAggregated);
+    const std::vector<std::unique_ptr<Fragment>>& fragments);
 
 }  // namespace flex::grape
 

@@ -138,8 +138,8 @@ std::vector<double> FlashEngine::Lcc() {
   return lcc;
 }
 
-Result<std::vector<uint8_t>> FlashEngine::KCoreChecked(
-    uint32_t k, const FlashOptions& options) {
+Result<std::vector<uint8_t>> FlashEngine::KCore(uint32_t k,
+                                                const FlashOptions& options) {
   // Admission: an already-dead query must not start peeling.
   Status admit = CheckRunnable(options.deadline, options.cancel, "flash.kcore");
   if (!admit.ok()) return admit;
@@ -192,12 +192,7 @@ Result<std::vector<uint8_t>> FlashEngine::KCoreChecked(
   return alive;
 }
 
-std::vector<uint8_t> FlashEngine::KCore(uint32_t k) {
-  // Infinite deadline, no token: the checked run cannot fail.
-  return KCoreChecked(k, FlashOptions{}).value();
-}
-
-Result<std::vector<uint32_t>> FlashEngine::LouvainCommunitiesChecked(
+Result<std::vector<uint32_t>> FlashEngine::LouvainCommunities(
     int max_passes, const FlashOptions& options) {
   Status admit =
       CheckRunnable(options.deadline, options.cancel, "flash.louvain");
@@ -254,10 +249,6 @@ Result<std::vector<uint32_t>> FlashEngine::LouvainCommunitiesChecked(
     if (moved == 0) break;
   }
   return community;
-}
-
-std::vector<uint32_t> FlashEngine::LouvainCommunities(int max_passes) {
-  return LouvainCommunitiesChecked(max_passes, FlashOptions{}).value();
 }
 
 double FlashEngine::Modularity(const std::vector<uint32_t>& communities) const {

@@ -38,10 +38,10 @@ class VertexSubset {
   std::vector<vid_t> members_;
 };
 
-/// Knobs for the Checked algorithm variants (the FLASH analog of
-/// PieOptions): the driver loop polls the deadline/cancel pair once per
-/// frontier round or local-move pass and stops with kDeadlineExceeded /
-/// kCancelled instead of running on.
+/// Knobs for KCore and LouvainCommunities (the FLASH analog of
+/// PieOptions): each polls the deadline/cancel pair once per frontier
+/// round or local-move pass and stops with kDeadlineExceeded / kCancelled
+/// instead of running on. The defaults never stop a run.
 struct FlashOptions {
   Deadline deadline;
   /// Optional; checked alongside the deadline. Cancellation wins.
@@ -104,22 +104,15 @@ class FlashEngine {
   /// k-core membership via frontier-based peeling, with a runnable check
   /// per peel round (the driver loop's natural quantum — how many rounds
   /// run is data-dependent, so an engine-hosted run must be stoppable).
-  Result<std::vector<uint8_t>> KCoreChecked(uint32_t k,
-                                            const FlashOptions& options);
-
-  /// Unchecked convenience wrapper: KCoreChecked with infinite options
-  /// (cannot fail).
-  std::vector<uint8_t> KCore(uint32_t k);
+  Result<std::vector<uint8_t>> KCore(uint32_t k,
+                                     const FlashOptions& options = {});
 
   /// Louvain-style community detection: repeated local-move passes that
   /// greedily maximize modularity gain until no vertex moves (single
   /// level, no coarsening). Returns a community id per vertex. Polls the
   /// runnable check once per pass.
-  Result<std::vector<uint32_t>> LouvainCommunitiesChecked(
-      int max_passes, const FlashOptions& options);
-
-  /// Unchecked convenience wrapper: infinite options (cannot fail).
-  std::vector<uint32_t> LouvainCommunities(int max_passes = 10);
+  Result<std::vector<uint32_t>> LouvainCommunities(
+      int max_passes = 10, const FlashOptions& options = {});
 
   /// Modularity of `communities` over the undirected simple graph.
   double Modularity(const std::vector<uint32_t>& communities) const;

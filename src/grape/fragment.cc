@@ -3,39 +3,25 @@
 namespace flex::grape {
 
 Fragment::Fragment(partition_t fid, const EdgeCutPartitioner* partitioner,
-                   const EdgeList& partition_edges,
-                   const EdgeList& full_graph_for_in)
+                   const EdgeList& graph)
     : fid_(fid), partitioner_(partitioner) {
   inner_vertices_ = partitioner_->VerticesOf(fid);
-  out_ = Csr::FromEdges(partition_edges);
-
-  // In-edges of inner vertices, from the full graph.
-  EdgeList in_edges;
-  in_edges.num_vertices = full_graph_for_in.num_vertices;
-  for (const RawEdge& e : full_graph_for_in.edges) {
-    if (partitioner_->GetPartition(e.dst) == fid_) in_edges.edges.push_back(e);
-  }
-  in_ = Csr::FromEdges(in_edges, /*reversed=*/true);
-
-  global_out_degree_.assign(full_graph_for_in.num_vertices, 0);
-  for (const RawEdge& e : full_graph_for_in.edges) {
-    ++global_out_degree_[e.src];
-  }
-
-  owner_.resize(full_graph_for_in.num_vertices);
-  for (vid_t v = 0; v < full_graph_for_in.num_vertices; ++v) {
+  owner_.resize(graph.num_vertices);
+  for (vid_t v = 0; v < graph.num_vertices; ++v) {
     owner_[v] = partitioner_->GetPartition(v);
   }
+  out_ = Csr::FromEdgesIf(graph, /*reversed=*/false,
+                          [this](const RawEdge& e) { return IsInner(e.src); });
+  in_ = Csr::FromEdgesIf(graph, /*reversed=*/true,
+                         [this](const RawEdge& e) { return IsInner(e.dst); });
 }
 
 std::vector<std::unique_ptr<Fragment>> Partition(
     const EdgeList& graph, const EdgeCutPartitioner& partitioner) {
-  std::vector<EdgeList> parts = partitioner.PartitionEdges(graph);
   std::vector<std::unique_ptr<Fragment>> fragments;
-  fragments.reserve(parts.size());
+  fragments.reserve(partitioner.num_partitions());
   for (partition_t p = 0; p < partitioner.num_partitions(); ++p) {
-    fragments.push_back(
-        std::make_unique<Fragment>(p, &partitioner, parts[p], graph));
+    fragments.push_back(std::make_unique<Fragment>(p, &partitioner, graph));
   }
   return fragments;
 }

@@ -22,8 +22,10 @@ namespace flex::grape {
 /// memory trade-off matches GRAPE's vertex-map design at this scale).
 class Fragment {
  public:
+  /// Builds fragment `fid` of `graph`: both CSRs are filtered straight out
+  /// of the shared edge list, so no per-fragment edge list is copied.
   Fragment(partition_t fid, const EdgeCutPartitioner* partitioner,
-           const EdgeList& partition_edges, const EdgeList& full_graph_for_in);
+           const EdgeList& graph);
 
   partition_t fid() const { return fid_; }
   partition_t num_fragments() const { return partitioner_->num_partitions(); }
@@ -51,12 +53,7 @@ class Fragment {
   /// In-edges of inner vertex `v` (sources may be outer). Built from the
   /// full graph so pull-style algorithms see every incoming edge.
   std::span<const vid_t> InNeighbors(vid_t v) const { return in_.Neighbors(v); }
-  std::span<const double> InWeights(vid_t v) const { return in_.Weights(v); }
   size_t InDegree(vid_t v) const { return in_.degree(v); }
-
-  /// Global out-degree of any vertex (PageRank needs the degree of outer
-  /// neighbors; GRAPE replicates this lightweight index on every fragment).
-  size_t GlobalOutDegree(vid_t v) const { return global_out_degree_[v]; }
 
   size_t num_inner_edges() const { return out_.num_edges(); }
 
@@ -66,11 +63,11 @@ class Fragment {
   std::vector<vid_t> inner_vertices_;
   Csr out_;  // Edges whose source is inner.
   Csr in_;   // Edges whose destination is inner.
-  std::vector<uint32_t> global_out_degree_;
   std::vector<partition_t> owner_;  // Partition id per vertex.
 };
 
-/// Partitions `graph` into `num_fragments` fragments.
+/// Partitions `graph` into one fragment per partition; `partitioner` must
+/// outlive the fragments.
 std::vector<std::unique_ptr<Fragment>> Partition(
     const EdgeList& graph, const EdgeCutPartitioner& partitioner);
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -295,18 +296,31 @@ Result<int> RunPieChecked(
   return rounds.load(std::memory_order_relaxed);
 }
 
-/// Legacy entry point: no deadline, no cancellation, failures fatal.
-template <typename MSG>
-int RunPie(const std::vector<std::unique_ptr<Fragment>>& fragments,
-           const std::vector<std::unique_ptr<PieApp<MSG>>>& apps,
-           MessageMode mode = MessageMode::kAggregated,
-           int max_rounds = 1000000) {
-  PieOptions options;
-  options.mode = mode;
-  options.max_rounds = max_rounds;
-  Result<int> result = RunPieChecked(fragments, apps, options);
-  FLEX_CHECK(result.ok());
-  return result.value();
+/// The one runner behind the app convenience functions: builds one app per
+/// fragment with `make()`, runs them through RunPieChecked (failures are
+/// fatal) and gathers each fragment's inner-vertex values, read by
+/// `get(app, v)`, into one global vector. Every vertex has exactly one
+/// owner, so every entry is written.
+template <typename MSG, typename App, typename Make, typename Get>
+auto RunAndMerge(const std::vector<std::unique_ptr<Fragment>>& fragments,
+                 Make&& make, Get&& get, const PieOptions& options = {}) {
+  using T = std::decay_t<std::invoke_result_t<Get&, const App&, vid_t>>;
+  std::vector<std::unique_ptr<PieApp<MSG>>> apps;
+  std::vector<const App*> typed;
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    std::unique_ptr<App> app = make();
+    typed.push_back(app.get());
+    apps.push_back(std::move(app));
+  }
+  Result<int> rounds = RunPieChecked(fragments, apps, options);
+  FLEX_CHECK(rounds.ok());
+  std::vector<T> merged(fragments.empty() ? 0 : fragments[0]->total_vertices());
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    for (vid_t v : fragments[i]->inner_vertices()) {
+      merged[v] = get(*typed[i], v);
+    }
+  }
+  return merged;
 }
 
 }  // namespace flex::grape

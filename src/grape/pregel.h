@@ -151,27 +151,19 @@ class PregelAdapter : public PieApp<MSG> {
 template <typename VVAL, typename MSG, typename MakeProgram>
 std::vector<VVAL> RunPregel(
     const std::vector<std::unique_ptr<Fragment>>& fragments,
-    MakeProgram&& make_program, int max_supersteps,
-    MessageMode mode = MessageMode::kAggregated) {
+    MakeProgram&& make_program, int max_supersteps) {
+  using Adapter = PregelAdapter<VVAL, MSG>;
   std::vector<std::unique_ptr<PregelProgram<VVAL, MSG>>> programs;
-  std::vector<std::unique_ptr<PieApp<MSG>>> apps;
-  std::vector<const PregelAdapter<VVAL, MSG>*> typed;
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    programs.push_back(make_program());
-    auto adapter = std::make_unique<PregelAdapter<VVAL, MSG>>(
-        programs.back().get(), max_supersteps);
-    typed.push_back(adapter.get());
-    apps.push_back(std::move(adapter));
-  }
-  RunPie(fragments, apps, mode, max_supersteps);
-  std::vector<VVAL> merged(
-      fragments.empty() ? 0 : fragments[0]->total_vertices(), VVAL{});
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    for (vid_t v : fragments[i]->inner_vertices()) {
-      merged[v] = typed[i]->values()[v];
-    }
-  }
-  return merged;
+  PieOptions options;
+  options.max_rounds = max_supersteps;
+  return RunAndMerge<MSG, Adapter>(
+      fragments,
+      [&] {
+        programs.push_back(make_program());
+        return std::make_unique<Adapter>(programs.back().get(),
+                                         max_supersteps);
+      },
+      [](const Adapter& app, vid_t v) { return app.values()[v]; }, options);
 }
 
 }  // namespace flex::grape

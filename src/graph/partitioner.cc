@@ -5,16 +5,9 @@
 namespace flex {
 
 EdgeCutPartitioner::EdgeCutPartitioner(vid_t num_vertices,
-                                       partition_t num_partitions,
-                                       Policy policy)
-    : num_vertices_(num_vertices),
-      num_partitions_(num_partitions),
-      policy_(policy) {
+                                       partition_t num_partitions)
+    : num_vertices_(num_vertices), num_partitions_(num_partitions) {
   FLEX_CHECK(num_partitions > 0);
-  if (policy_ == Policy::kRange) {
-    range_size_ = (num_vertices + num_partitions - 1) / num_partitions;
-    if (range_size_ == 0) range_size_ = 1;
-  }
 }
 
 std::vector<vid_t> EdgeCutPartitioner::VerticesOf(partition_t p) const {
@@ -23,16 +16,6 @@ std::vector<vid_t> EdgeCutPartitioner::VerticesOf(partition_t p) const {
     if (GetPartition(v) == p) out.push_back(v);
   }
   return out;
-}
-
-std::vector<EdgeList> EdgeCutPartitioner::PartitionEdges(
-    const EdgeList& list) const {
-  std::vector<EdgeList> parts(num_partitions_);
-  for (auto& part : parts) part.num_vertices = list.num_vertices;
-  for (const RawEdge& e : list.edges) {
-    parts[GetPartition(e.src)].edges.push_back(e);
-  }
-  return parts;
 }
 
 }  // namespace flex

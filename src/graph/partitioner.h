@@ -1,9 +1,9 @@
 #ifndef FLEX_GRAPH_PARTITIONER_H_
 #define FLEX_GRAPH_PARTITIONER_H_
 
+#include <cstdint>
 #include <vector>
 
-#include "graph/edge_list.h"
 #include "graph/types.h"
 
 namespace flex {
@@ -14,21 +14,15 @@ namespace flex {
 /// uses in the paper (§4.2) and the layout GRAPE fragments consume.
 class EdgeCutPartitioner {
  public:
-  enum class Policy {
-    kHash,   ///< v → v * mix % P; balances power-law hubs across partitions.
-    kRange,  ///< contiguous ranges; best locality for ordered ids.
-  };
+  EdgeCutPartitioner(vid_t num_vertices, partition_t num_partitions);
 
-  EdgeCutPartitioner(vid_t num_vertices, partition_t num_partitions,
-                     Policy policy = Policy::kHash);
-
+  /// Fibonacci hash reduced from the product's high bits: the low bits of
+  /// v * 0x9E3779B1 only permute v mod 2^k, so reducing them mod a
+  /// power-of-two P would leave RMAT's hubs, whose ids share their low
+  /// bits, on one partition.
   partition_t GetPartition(vid_t v) const {
-    if (policy_ == Policy::kRange) {
-      return static_cast<partition_t>(v / range_size_);
-    }
-    // Multiplicative hash keeps neighbors of a hub spread out.
-    return static_cast<partition_t>((v * 0x9E3779B1u) >> shift_) %
-           num_partitions_;
+    const uint64_t mixed = static_cast<uint32_t>(v) * 0x9E3779B1u;
+    return static_cast<partition_t>((mixed * num_partitions_) >> 32);
   }
 
   partition_t num_partitions() const { return num_partitions_; }
@@ -37,16 +31,9 @@ class EdgeCutPartitioner {
   /// All vertices owned by `p`, ascending.
   std::vector<vid_t> VerticesOf(partition_t p) const;
 
-  /// Splits `list` into one per-partition edge list; edges go to the owner
-  /// of their source (edge-cut). Vertex ids stay global.
-  std::vector<EdgeList> PartitionEdges(const EdgeList& list) const;
-
  private:
   vid_t num_vertices_;
   partition_t num_partitions_;
-  Policy policy_;
-  vid_t range_size_ = 1;
-  unsigned shift_ = 0;
 };
 
 }  // namespace flex

@@ -130,15 +130,38 @@ TEST_P(FragmentCounts, PartitionCoversAllEdges) {
   for (const auto& frag : frags) {
     inner_total += frag->inner_vertices().size();
     edge_total += frag->num_inner_edges();
+    // Every edge a fragment holds hangs off one of its inner vertices.
+    size_t inner_out_degree = 0;
     for (vid_t v : frag->inner_vertices()) {
       in_edge_total += frag->InDegree(v);
+      inner_out_degree += frag->OutDegree(v);
       EXPECT_TRUE(frag->IsInner(v));
-      EXPECT_EQ(frag->GlobalOutDegree(v), frag->OutDegree(v));
     }
+    EXPECT_EQ(inner_out_degree, frag->num_inner_edges())
+        << "fragment " << frag->fid();
   }
   EXPECT_EQ(inner_total, g.num_vertices);
   EXPECT_EQ(edge_total, g.num_edges());
   EXPECT_EQ(in_edge_total, g.num_edges());
+}
+
+TEST(FragmentTest, HashBalancesRmatEdges) {
+  // RMAT puts its hubs on ids that share their low bits, so a hash that
+  // keeps v mod P for power-of-two P piles their edges onto one fragment.
+  EdgeList g = datagen::GenerateRmat({.scale = 16, .edge_factor = 16.0,
+                                      .a = 0.57, .b = 0.19, .c = 0.19,
+                                      .seed = 1});
+  for (partition_t parts : {2u, 3u, 4u, 8u}) {
+    EdgeCutPartitioner part(g.num_vertices, parts);
+    auto frags = Partition(g, part);
+    size_t largest = 0;
+    for (const auto& frag : frags) {
+      largest = std::max(largest, frag->num_inner_edges());
+    }
+    const double mean = static_cast<double>(g.num_edges()) / parts;
+    EXPECT_LE(static_cast<double>(largest), 1.1 * mean)
+        << parts << " fragments: largest " << largest << ", mean " << mean;
+  }
 }
 
 TEST(FragmentTest, OwnerMapSurvivesMoreThan256Partitions) {
@@ -232,8 +255,31 @@ TEST_P(FragmentCounts, WccMatchesReference) {
   EXPECT_EQ(got, want);
 }
 
-INSTANTIATE_TEST_SUITE_P(Fragments, FragmentCounts,
-                         ::testing::Values(1, 2, 4));
+// CDLP and PIE k-core have no serial reference here; they are held to
+// their own 1-fragment answers.
+TEST_P(FragmentCounts, CdlpMatchesOneFragment) {
+  EdgeList g = TestGraph();
+  EdgeCutPartitioner one(g.num_vertices, 1);
+  auto want = RunCdlp(Partition(g, one), 5);
+  EdgeCutPartitioner part(g.num_vertices, GetParam());
+  EXPECT_EQ(RunCdlp(Partition(g, part), 5), want);
+}
+
+TEST_P(FragmentCounts, KCoreMatchesOneFragment) {
+  EdgeList g = TestGraph();
+  EdgeCutPartitioner one(g.num_vertices, 1);
+  auto frags_one = Partition(g, one);
+  EdgeCutPartitioner part(g.num_vertices, GetParam());
+  auto frags = Partition(g, part);
+  for (uint32_t k : {2u, 8u, 16u}) {
+    auto want = RunKCore(frags_one, k);
+    // Each k peels some vertices and keeps others.
+    const auto core = std::count(want.begin(), want.end(), 1);
+    EXPECT_GT(core, 0) << "k=" << k;
+    EXPECT_LT(core, static_cast<std::ptrdiff_t>(want.size())) << "k=" << k;
+    EXPECT_EQ(RunKCore(frags, k), want) << "k=" << k;
+  }
+}
 
 TEST(BfsTest, DisconnectedSourceOnlyReachesItself) {
   EdgeList g;
@@ -318,7 +364,8 @@ TEST(KCoreTest, AgreesWithFlashPeeling) {
   for (uint32_t k : {2u, 5u, 10u}) {
     auto pie = RunKCore(frags, k);
     auto fl = flash_engine.KCore(k);
-    EXPECT_EQ(pie, fl) << "k=" << k;
+    ASSERT_TRUE(fl.ok());
+    EXPECT_EQ(pie, fl.value()) << "k=" << k;
   }
 }
 
@@ -353,9 +400,9 @@ class PregelSssp : public PregelProgram<double, double> {
   vid_t source_;
 };
 
-TEST(PregelTest, SsspMatchesReference) {
+TEST_P(FragmentCounts, PregelSsspMatchesReference) {
   EdgeList g = TestGraph();
-  EdgeCutPartitioner part(g.num_vertices, 2);
+  EdgeCutPartitioner part(g.num_vertices, GetParam());
   auto frags = Partition(g, part);
   auto got = RunPregel<double, double>(
       frags, [] { return std::make_unique<PregelSssp>(0); }, 1000);
@@ -368,6 +415,9 @@ TEST(PregelTest, SsspMatchesReference) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Fragments, FragmentCounts,
+                         ::testing::Values(1, 2, 3, 4, 8));
 
 /// Max-value propagation: classic Pregel example; exercises keep-alive
 /// (vertices stay active until quiescent).
@@ -444,7 +494,7 @@ TEST(FlashTest, CheckedVariantsStopOnDeadlineAndCancel) {
 
   flash::FlashOptions expired;
   expired.deadline = Deadline::Expired();
-  auto kcore = engine.KCoreChecked(4, expired);
+  auto kcore = engine.KCore(4, expired);
   ASSERT_FALSE(kcore.ok());
   EXPECT_EQ(kcore.status().code(), StatusCode::kDeadlineExceeded);
 
@@ -452,14 +502,9 @@ TEST(FlashTest, CheckedVariantsStopOnDeadlineAndCancel) {
   token.Cancel();
   flash::FlashOptions cancelled;
   cancelled.cancel = &token;
-  auto louvain = engine.LouvainCommunitiesChecked(10, cancelled);
+  auto louvain = engine.LouvainCommunities(10, cancelled);
   ASSERT_FALSE(louvain.ok());
   EXPECT_EQ(louvain.status().code(), StatusCode::kCancelled);
-
-  // Infinite options match the unchecked wrappers bit-for-bit.
-  auto checked = engine.KCoreChecked(3, flash::FlashOptions{});
-  ASSERT_TRUE(checked.ok());
-  EXPECT_EQ(checked.value(), engine.KCore(3));
 }
 
 TEST(FlashTest, LccBounds) {
@@ -563,7 +608,7 @@ TEST(FlashTest, LouvainSeparatesCliques) {
   }
   g.edges.push_back({4, 5, 1.0});
   flash::FlashEngine engine(g, 2);
-  auto communities = engine.LouvainCommunities();
+  auto communities = engine.LouvainCommunities().value();
   for (vid_t v = 1; v < 5; ++v) EXPECT_EQ(communities[v], communities[0]);
   for (vid_t v = 6; v < 10; ++v) EXPECT_EQ(communities[v], communities[5]);
   EXPECT_NE(communities[0], communities[5]);
@@ -577,7 +622,7 @@ TEST(FlashTest, LouvainSeparatesCliques) {
 TEST(FlashTest, LouvainImprovesModularityOnRandomGraph) {
   EdgeList g = datagen::GenerateUniform(300, 1200, 9);
   flash::FlashEngine engine(g, 2);
-  auto communities = engine.LouvainCommunities();
+  auto communities = engine.LouvainCommunities().value();
   std::vector<uint32_t> singletons(300);
   for (vid_t v = 0; v < 300; ++v) singletons[v] = v;
   EXPECT_GE(engine.Modularity(communities), engine.Modularity(singletons));

@@ -4,10 +4,12 @@
 // read/write SNB-style scenario running Cypher over pinned snapshots.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -426,6 +428,9 @@ TEST_F(MutationTest, HtapClientsReadPinnedEpochsWhileWriterCommits) {
     std::vector<std::string> liked;
   };
   std::vector<std::vector<Observation>> observed(kClients);
+  // Highest version any client has recorded. The `observed` vectors are
+  // only read after pool.Wait(), so the writer paces itself on this.
+  std::atomic<version_t> max_observed{0};
 
   std::atomic<bool> done{false};
   ThreadPool pool(kClients);
@@ -446,6 +451,9 @@ TEST_F(MutationTest, HtapClientsReadPinnedEpochsWhileWriterCommits) {
         ASSERT_TRUE(liked.ok()) << liked.status().message();
         observed[c].push_back({v, query::RowsToStrings(persons.value()),
                                query::RowsToStrings(liked.value())});
+        version_t seen = max_observed.load();
+        while (seen < v && !max_observed.compare_exchange_weak(seen, v)) {
+        }
       } while (!done.load(std::memory_order_acquire));
     });
   }
@@ -466,6 +474,20 @@ TEST_F(MutationTest, HtapClientsReadPinnedEpochsWhileWriterCommits) {
     ASSERT_TRUE(committed.ok()) << committed.status().message();
     ASSERT_EQ(committed.value(), static_cast<version_t>(e));
     commit_fp[e] = SnapshotFingerprint(*store.PinSnapshot(e));
+    // Wait for some client to read epoch e before committing the next
+    // one. A slow reader (TSan) would otherwise start its first read after
+    // the last commit and see only epoch 0. The wait is bounded so a
+    // client that died on an ASSERT fails the test instead of hanging it.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (max_observed.load() < static_cast<version_t>(e) &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (max_observed.load() < static_cast<version_t>(e)) {
+      ADD_FAILURE() << "no client read epoch " << e << " within 30 s";
+      break;
+    }
   }
   done.store(true, std::memory_order_release);
   pool.Wait();
