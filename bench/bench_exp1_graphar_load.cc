@@ -31,7 +31,7 @@ int main() {
           auto loaded =
               storage::graphar::ReadCsv(csv_dir, data.schema).value();
           auto store = storage::VineyardStore::Build(loaded).value();
-          FLEX_CHECK(store->num_vertices() > 0);
+          FLEX_CHECK(store->topology().num_vertices() > 0);
         },
         2);
     const double ar_ms = bench::TimeMs(
@@ -39,7 +39,7 @@ int main() {
           auto reader = storage::graphar::GraphArReader::Open(ar_path).value();
           auto loaded = reader->ReadAll().value();
           auto store = storage::VineyardStore::Build(loaded).value();
-          FLEX_CHECK(store->num_vertices() > 0);
+          FLEX_CHECK(store->topology().num_vertices() > 0);
         },
         2);
     std::printf("%-10s %10.1fms %10.1fms %10s\n", name.c_str(), csv_ms,

@@ -13,15 +13,15 @@
 namespace flex {
 namespace {
 
-/// Native: devirtualized span access straight into the store.
-double NativePageRank(const storage::VineyardStore& store, int iters) {
-  const vid_t n = store.num_vertices();
+/// Native: devirtualized span access straight into the store's topology.
+double NativePageRank(const storage::CsrTopology& topo, int iters) {
+  const vid_t n = topo.num_vertices();
   std::vector<double> rank(n, 1.0 / n), next(n);
   for (int it = 0; it < iters; ++it) {
     std::fill(next.begin(), next.end(), 0.0);
     double dangling = 0.0;
     for (vid_t v = 0; v < n; ++v) {
-      const auto nbrs = store.OutNeighbors(v, 0);
+      const auto nbrs = topo.OutNeighbors(v, 0);
       if (nbrs.empty()) {
         dangling += rank[v];
         continue;
@@ -64,10 +64,10 @@ double GrinPageRank(const grin::GrinGraph& g, int iters) {
   return rank[0];
 }
 
-size_t NativeEdgeScan(const storage::VineyardStore& store) {
+size_t NativeEdgeScan(const storage::CsrTopology& topo) {
   size_t sum = 0;
-  for (vid_t v = 0; v < store.num_vertices(); ++v) {
-    for (vid_t u : store.OutNeighbors(v, 0)) sum += u;
+  for (vid_t v = 0; v < topo.num_vertices(); ++v) {
+    for (vid_t u : topo.OutNeighbors(v, 0)) sum += u;
   }
   return sum;
 }
@@ -79,11 +79,11 @@ size_t GrinEdgeScan(const grin::GrinGraph& g) {
   return sum;
 }
 
-size_t NativeTwoHop(const storage::VineyardStore& store, vid_t probes) {
+size_t NativeTwoHop(const storage::CsrTopology& topo, vid_t probes) {
   size_t count = 0;
   for (vid_t v = 0; v < probes; ++v) {
-    for (vid_t u : store.OutNeighbors(v, 0)) {
-      count += store.OutNeighbors(u, 0).size();
+    for (vid_t u : topo.OutNeighbors(v, 0)) {
+      count += topo.OutNeighbors(u, 0).size();
     }
   }
   return count;
@@ -113,6 +113,7 @@ int main() {
   auto store = storage::VineyardStore::Build(
                    storage::MakeSimpleGraphData(graph, false))
                    .value();
+  const storage::CsrTopology& topo = store->topology();
   auto grin = store->GetGrinHandle();
 
   struct Row {
@@ -123,15 +124,15 @@ int main() {
   std::vector<Row> rows;
   rows.push_back(
       {"edge-scan",
-       bench::TimeMs([&] { bench::Sink(NativeEdgeScan(*store)); }, 5),
+       bench::TimeMs([&] { bench::Sink(NativeEdgeScan(topo)); }, 5),
        bench::TimeMs([&] { bench::Sink(GrinEdgeScan(*grin)); }, 5)});
   rows.push_back(
       {"pagerank(5it)",
-       bench::TimeMs([&] { bench::Sink(NativePageRank(*store, 5)); }, 7),
+       bench::TimeMs([&] { bench::Sink(NativePageRank(topo, 5)); }, 7),
        bench::TimeMs([&] { bench::Sink(GrinPageRank(*grin, 5)); }, 7)});
   rows.push_back(
       {"two-hop",
-       bench::TimeMs([&] { bench::Sink(NativeTwoHop(*store, 2000)); }, 5),
+       bench::TimeMs([&] { bench::Sink(NativeTwoHop(topo, 2000)); }, 5),
        bench::TimeMs([&] { bench::Sink(GrinTwoHop(*grin, 2000)); }, 5)});
 
   std::printf("%-14s %12s %12s %10s\n", "workload", "native", "GRIN",

@@ -51,7 +51,7 @@ int main() {
   auto store = storage::VineyardStore::Build(data).value();
   auto graph = store->GetGrinHandle();  // The GRIN view engines consume.
   std::printf("loaded %u vertices, %zu edges into Vineyard\n",
-              graph->NumVertices(), store->num_edges());
+              graph->NumVertices(), store->topology().num_edges());
 
   // ---- 2. Query through the interactive stack. Transient failures
   // (e.g. an injected storage.read fault) are retried with backoff;

@@ -38,7 +38,7 @@ int main() {
                    .value();
   auto graph = store->GetGrinHandle();
   std::printf("social graph: %u users, %zu relations (Vineyard via GRIN)\n",
-              graph->NumVertices(), store->num_edges());
+              graph->NumVertices(), store->topology().num_edges());
 
   // ---- Training edges: observed relations (positives).
   Rng rng(5);

@@ -62,8 +62,10 @@ enum Trait : uint32_t {
 /// One chunk of adjacency handed to a visitor. Array-trait backends emit a
 /// single chunk per vertex; iterator-trait backends emit several.
 ///
-/// Edge ids identify the edge for kEdgeProperty lookups: if `edge_ids` is
-/// empty they are sequential from `edge_id_base`.
+/// Edge ids: one id per edge, the same from its source's out-adjacency and
+/// its destination's in-adjacency, unique within its edge label, and the
+/// key of kEdgeProperty lookups. If `edge_ids` is empty they are
+/// sequential from `edge_id_base`.
 struct AdjChunk {
   std::span<const vid_t> neighbors;
   std::span<const double> weights;  ///< Empty when the label is unweighted.

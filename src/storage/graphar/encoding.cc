@@ -64,9 +64,10 @@ Status DecodeInt64Chunk(std::span<const uint8_t> bytes, size_t count,
   if (count == 0) return Status::OK();
   if (bytes.empty()) return Status::IoError("empty int64 chunk");
   const uint8_t mode = bytes[0];
-  out->reserve(out->size() + count);
   size_t pos = 1;
   int64_t prev = 0;
+  // No reserve from `count`: it is an unchecked claim until the bytes
+  // behind it decode, and `out` grows geometrically across chunks anyway.
   if (mode == kInt64Plain) {
     for (size_t i = 0; i < count; ++i) {
       int64_t delta;
@@ -85,7 +86,7 @@ Status DecodeInt64Chunk(std::span<const uint8_t> bytes, size_t count,
       int64_t delta;
       if (!GetVarint64(bytes.data(), bytes.size(), &pos, &run) ||
           !GetVarintSigned(bytes.data(), bytes.size(), &pos, &delta) ||
-          run == 0 || produced + run > count) {
+          run == 0 || run > count - produced) {
         return Status::IoError("corrupt RLE int64 chunk");
       }
       for (uint64_t r = 0; r < run; ++r) {
@@ -109,7 +110,7 @@ void EncodeDoubleChunk(std::span<const double> values,
 
 Status DecodeDoubleChunk(std::span<const uint8_t> bytes, size_t count,
                          std::vector<double>* out) {
-  if (bytes.size() < count * sizeof(double)) {
+  if (count > bytes.size() / sizeof(double)) {
     return Status::IoError("truncated double chunk");
   }
   const size_t offset = out->size();
@@ -132,7 +133,7 @@ Status DecodeStringChunk(std::span<const uint8_t> bytes, size_t count,
   for (size_t i = 0; i < count; ++i) {
     uint64_t len;
     if (!GetVarint64(bytes.data(), bytes.size(), &pos, &len) ||
-        pos + len > bytes.size()) {
+        len > bytes.size() - pos) {
       return Status::IoError("truncated string chunk");
     }
     out->emplace_back(reinterpret_cast<const char*>(bytes.data()) + pos, len);
@@ -196,36 +197,26 @@ void EncodeColumnChunk(const PropertyColumn& column, size_t begin, size_t end,
 
 Status DecodeColumnChunk(std::span<const uint8_t> bytes, size_t count,
                          PropertyColumn* column) {
+  // Decodes into a typed scratch vector, then appends each value boxed.
+  auto append = [&](auto decode, auto scratch) -> Status {
+    FLEX_RETURN_NOT_OK(decode(bytes, count, &scratch));
+    for (auto& v : scratch) {
+      FLEX_RETURN_NOT_OK(column->Append(PropertyValue(std::move(v))));
+    }
+    return Status::OK();
+  };
   switch (column->type()) {
-    case PropertyType::kInt64: {
-      std::vector<int64_t> values;
-      FLEX_RETURN_NOT_OK(DecodeInt64Chunk(bytes, count, &values));
-      for (int64_t v : values) {
-        FLEX_RETURN_NOT_OK(column->Append(PropertyValue(v)));
-      }
-      return Status::OK();
-    }
-    case PropertyType::kDouble: {
-      std::vector<double> values;
-      FLEX_RETURN_NOT_OK(DecodeDoubleChunk(bytes, count, &values));
-      for (double v : values) {
-        FLEX_RETURN_NOT_OK(column->Append(PropertyValue(v)));
-      }
-      return Status::OK();
-    }
-    case PropertyType::kString: {
-      std::vector<std::string> values;
-      FLEX_RETURN_NOT_OK(DecodeStringChunk(bytes, count, &values));
-      for (auto& v : values) {
-        FLEX_RETURN_NOT_OK(column->Append(PropertyValue(std::move(v))));
-      }
-      return Status::OK();
-    }
+    case PropertyType::kInt64:
+      return append(DecodeInt64Chunk, std::vector<int64_t>());
+    case PropertyType::kDouble:
+      return append(DecodeDoubleChunk, std::vector<double>());
+    case PropertyType::kString:
+      return append(DecodeStringChunk, std::vector<std::string>());
     case PropertyType::kBool: {
-      std::vector<uint8_t> values;
-      FLEX_RETURN_NOT_OK(DecodeBoolChunk(bytes, count, &values));
-      for (uint8_t v : values) {
-        FLEX_RETURN_NOT_OK(column->Append(PropertyValue(v != 0)));
+      std::vector<uint8_t> bits;
+      FLEX_RETURN_NOT_OK(DecodeBoolChunk(bytes, count, &bits));
+      for (const uint8_t bit : bits) {
+        FLEX_RETURN_NOT_OK(column->Append(PropertyValue(bit != 0)));
       }
       return Status::OK();
     }

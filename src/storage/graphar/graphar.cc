@@ -4,16 +4,27 @@
 #include <cstring>
 #include <fstream>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/metric_names.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/varint.h"
+#include "storage/csr_topology.h"
 #include "storage/graphar/encoding.h"
 
 namespace flex::storage::graphar {
+
+/// Column section layout: varint total_rows, varint nchunks, then per
+/// chunk: varint nrows, varint nbytes, payload bytes.
+struct ChunkRef {
+  size_t nrows;
+  std::span<const uint8_t> bytes;
+};
+
+struct ParsedSection {
+  std::vector<ChunkRef> chunks;
+};
 
 namespace {
 
@@ -33,39 +44,30 @@ void PutString(std::vector<uint8_t>* out, const std::string& s) {
 bool GetString(std::span<const uint8_t> buf, size_t* pos, std::string* out) {
   uint64_t len;
   if (!GetVarint64(buf.data(), buf.size(), pos, &len)) return false;
-  if (*pos + len > buf.size()) return false;
+  if (len > buf.size() - *pos) return false;
   out->assign(reinterpret_cast<const char*>(buf.data()) + *pos, len);
   *pos += len;
   return true;
 }
 
-/// Column section layout: varint total_rows, varint nchunks, then per
-/// chunk: varint nrows, varint nbytes, payload bytes.
-struct ChunkRef {
-  size_t nrows;
-  std::span<const uint8_t> bytes;
-};
-
-struct ParsedSection {
-  size_t total_rows = 0;
-  std::vector<ChunkRef> chunks;
-};
-
+/// Parses a column section's chunk table. Every count is checked against
+/// the bytes that back it before it sizes anything; the leading total row
+/// count is not trusted (readers go by the chunks' own row counts).
 Result<ParsedSection> ParseChunks(std::span<const uint8_t> section) {
   ParsedSection parsed;
   size_t pos = 0;
   uint64_t total_rows, nchunks;
   if (!GetVarint64(section.data(), section.size(), &pos, &total_rows) ||
-      !GetVarint64(section.data(), section.size(), &pos, &nchunks)) {
+      !GetVarint64(section.data(), section.size(), &pos, &nchunks) ||
+      nchunks > (section.size() - pos) / 2) {  // >= 2 header bytes a chunk
     return Status::IoError("corrupt section header");
   }
-  parsed.total_rows = total_rows;
   parsed.chunks.reserve(nchunks);
   for (uint64_t c = 0; c < nchunks; ++c) {
     uint64_t nrows, nbytes;
     if (!GetVarint64(section.data(), section.size(), &pos, &nrows) ||
         !GetVarint64(section.data(), section.size(), &pos, &nbytes) ||
-        pos + nbytes > section.size()) {
+        nbytes > section.size() - pos) {
       return Status::IoError("corrupt chunk header");
     }
     parsed.chunks.push_back({nrows, section.subspan(pos, nbytes)});
@@ -74,20 +76,58 @@ Result<ParsedSection> ParseChunks(std::span<const uint8_t> section) {
   return parsed;
 }
 
-/// Serializes one column as a chunked section.
-std::vector<uint8_t> BuildColumnSection(const PropertyColumn& column,
-                                        size_t chunk_size) {
+/// True when two sections of one label split their rows into the same
+/// chunks, so chunk c of one lines up row for row with chunk c of the
+/// other.
+bool SameChunking(const ParsedSection& a, const ParsedSection& b) {
+  return std::equal(a.chunks.begin(), a.chunks.end(), b.chunks.begin(),
+                    b.chunks.end(), [](const ChunkRef& x, const ChunkRef& y) {
+                      return x.nrows == y.nrows;
+                    });
+}
+
+/// Reads rows of one parsed column section through a one-chunk decode
+/// cache. Rows are located by the first chunk's row count (the writer's
+/// uniform chunk size); a row the section cannot serve reads as the empty
+/// value.
+struct ChunkCursor {
+  int64_t chunk_id = -1;
+  std::unique_ptr<PropertyColumn> column;
+
+  PropertyValue Get(const ParsedSection& parsed, PropertyType type,
+                    size_t row) {
+    const auto& chunks = parsed.chunks;
+    if (chunks.empty() || chunks[0].nrows == 0) return PropertyValue();
+    const size_t id = row / chunks[0].nrows;
+    if (id >= chunks.size()) return PropertyValue();
+    if (chunk_id != static_cast<int64_t>(id) || column == nullptr) {
+      auto decoded = std::make_unique<PropertyColumn>(type);
+      if (!DecodeColumnChunk(chunks[id].bytes, chunks[id].nrows,
+                             decoded.get())
+               .ok()) {
+        return PropertyValue();
+      }
+      chunk_id = static_cast<int64_t>(id);
+      column = std::move(decoded);
+    }
+    const size_t offset = row - id * chunks[0].nrows;
+    return offset < column->size() ? column->Get(offset) : PropertyValue();
+  }
+};
+
+/// Serializes `rows` rows as a chunked section; `encode(begin, end, out)`
+/// appends one chunk's encoded rows.
+template <typename Encode>
+std::vector<uint8_t> BuildSection(size_t rows, size_t chunk_size,
+                                  const Encode& encode) {
   std::vector<uint8_t> out;
-  const size_t rows = column.size();
-  const size_t nchunks = (rows + chunk_size - 1) / chunk_size;
   PutVarint64(&out, rows);
-  PutVarint64(&out, nchunks);
+  PutVarint64(&out, (rows + chunk_size - 1) / chunk_size);
   std::vector<uint8_t> payload;
-  for (size_t c = 0; c < nchunks; ++c) {
-    const size_t begin = c * chunk_size;
+  for (size_t begin = 0; begin < rows; begin += chunk_size) {
     const size_t end = std::min(rows, begin + chunk_size);
     payload.clear();
-    EncodeColumnChunk(column, begin, end, &payload);
+    encode(begin, end, &payload);
     PutVarint64(&out, end - begin);
     PutVarint64(&out, payload.size());
     PutBytes(&out, payload.data(), payload.size());
@@ -97,22 +137,33 @@ std::vector<uint8_t> BuildColumnSection(const PropertyColumn& column,
 
 std::vector<uint8_t> BuildInt64Section(std::span<const int64_t> values,
                                        size_t chunk_size) {
-  std::vector<uint8_t> out;
-  const size_t rows = values.size();
-  const size_t nchunks = (rows + chunk_size - 1) / chunk_size;
-  PutVarint64(&out, rows);
-  PutVarint64(&out, nchunks);
-  std::vector<uint8_t> payload;
-  for (size_t c = 0; c < nchunks; ++c) {
-    const size_t begin = c * chunk_size;
-    const size_t end = std::min(rows, begin + chunk_size);
-    payload.clear();
-    EncodeInt64Chunk(values.subspan(begin, end - begin), &payload);
-    PutVarint64(&out, end - begin);
-    PutVarint64(&out, payload.size());
-    PutBytes(&out, payload.data(), payload.size());
+  return BuildSection(values.size(), chunk_size,
+                      [&](size_t begin, size_t end, std::vector<uint8_t>* out) {
+                        EncodeInt64Chunk(values.subspan(begin, end - begin),
+                                         out);
+                      });
+}
+
+void PutProperties(std::vector<uint8_t>* out,
+                   const std::vector<PropertyDef>& props) {
+  PutVarint64(out, props.size());
+  for (const auto& prop : props) {
+    PutString(out, prop.name);
+    out->push_back(static_cast<uint8_t>(prop.type));
   }
-  return out;
+}
+
+bool GetProperties(std::span<const uint8_t> buf, size_t* pos,
+                   std::vector<PropertyDef>* props) {
+  uint64_t n = 0;
+  if (!GetVarint64(buf.data(), buf.size(), pos, &n)) return false;
+  for (uint64_t p = 0; p < n; ++p) {
+    std::string name;
+    if (!GetString(buf, pos, &name) || *pos >= buf.size()) return false;
+    const auto type = static_cast<PropertyType>(buf[(*pos)++]);
+    props->push_back({std::move(name), type});
+  }
+  return true;
 }
 
 std::vector<uint8_t> BuildSchemaSection(const GraphSchema& schema) {
@@ -121,11 +172,7 @@ std::vector<uint8_t> BuildSchemaSection(const GraphSchema& schema) {
   for (size_t l = 0; l < schema.vertex_label_num(); ++l) {
     const auto& def = schema.vertex_label(static_cast<label_t>(l));
     PutString(&out, def.name);
-    PutVarint64(&out, def.properties.size());
-    for (const auto& prop : def.properties) {
-      PutString(&out, prop.name);
-      out.push_back(static_cast<uint8_t>(prop.type));
-    }
+    PutProperties(&out, def.properties);
   }
   PutVarint64(&out, schema.edge_label_num());
   for (size_t l = 0; l < schema.edge_label_num(); ++l) {
@@ -133,11 +180,7 @@ std::vector<uint8_t> BuildSchemaSection(const GraphSchema& schema) {
     PutString(&out, def.name);
     out.push_back(def.src_label);
     out.push_back(def.dst_label);
-    PutVarint64(&out, def.properties.size());
-    for (const auto& prop : def.properties) {
-      PutString(&out, prop.name);
-      out.push_back(static_cast<uint8_t>(prop.type));
-    }
+    PutProperties(&out, def.properties);
   }
   return out;
 }
@@ -150,18 +193,9 @@ Status ParseSchemaSection(std::span<const uint8_t> buf, GraphSchema* schema) {
   }
   for (uint64_t l = 0; l < nv; ++l) {
     std::string name;
-    uint64_t nprops;
-    if (!GetString(buf, &pos, &name) ||
-        !GetVarint64(buf.data(), buf.size(), &pos, &nprops)) {
-      return Status::IoError("corrupt schema vertex label");
-    }
     std::vector<PropertyDef> props;
-    for (uint64_t p = 0; p < nprops; ++p) {
-      std::string pname;
-      if (!GetString(buf, &pos, &pname) || pos >= buf.size()) {
-        return Status::IoError("corrupt schema property");
-      }
-      props.push_back({pname, static_cast<PropertyType>(buf[pos++])});
+    if (!GetString(buf, &pos, &name) || !GetProperties(buf, &pos, &props)) {
+      return Status::IoError("corrupt schema vertex label");
     }
     FLEX_RETURN_NOT_OK(schema->AddVertexLabel(name, std::move(props)).status());
   }
@@ -176,17 +210,9 @@ Status ParseSchemaSection(std::span<const uint8_t> buf, GraphSchema* schema) {
     }
     const label_t src = buf[pos++];
     const label_t dst = buf[pos++];
-    uint64_t nprops;
-    if (!GetVarint64(buf.data(), buf.size(), &pos, &nprops)) {
-      return Status::IoError("corrupt schema edge label");
-    }
     std::vector<PropertyDef> props;
-    for (uint64_t p = 0; p < nprops; ++p) {
-      std::string pname;
-      if (!GetString(buf, &pos, &pname) || pos >= buf.size()) {
-        return Status::IoError("corrupt schema property");
-      }
-      props.push_back({pname, static_cast<PropertyType>(buf[pos++])});
+    if (!GetProperties(buf, &pos, &props)) {
+      return Status::IoError("corrupt schema edge label");
     }
     FLEX_RETURN_NOT_OK(
         schema->AddEdgeLabel(name, src, dst, std::move(props)).status());
@@ -207,6 +233,24 @@ Status WriteGraphAr(const std::string& path, const PropertyGraphData& data,
     PutBytes(&buf, bytes.data(), bytes.size());
   };
 
+  // Columnarizes `n` rows (`row(i)`), then chunk-encodes each column.
+  auto add_columns = [&](const std::string& base,
+                         const std::vector<PropertyDef>& defs, size_t n,
+                         const auto& row) -> Status {
+    PropertyTable table(defs);
+    for (size_t i = 0; i < n; ++i) FLEX_RETURN_NOT_OK(table.AppendRow(row(i)));
+    for (size_t c = 0; c < defs.size(); ++c) {
+      const PropertyColumn& column = table.column(c);
+      add_section(base + "p" + std::to_string(c),
+                  BuildSection(n, chunk_size,
+                               [&](size_t begin, size_t end,
+                                   std::vector<uint8_t>* out) {
+                                 EncodeColumnChunk(column, begin, end, out);
+                               }));
+    }
+    return Status::OK();
+  };
+
   add_section("schema", BuildSchemaSection(data.schema));
 
   // ---- Vertex sections.
@@ -215,17 +259,10 @@ Status WriteGraphAr(const std::string& path, const PropertyGraphData& data,
     static const PropertyGraphData::VertexBatch kEmptyV;
     const auto& batch = l < data.vertices.size() ? data.vertices[l] : kEmptyV;
     const std::string base = "v/" + def.name + "/";
-    std::vector<int64_t> oids(batch.oids.begin(), batch.oids.end());
-    add_section(base + "oid", BuildInt64Section(oids, chunk_size));
-    // Columnarize rows, then chunk-encode.
-    PropertyTable table(def.properties);
-    for (const auto& row : batch.rows) {
-      FLEX_RETURN_NOT_OK(table.AppendRow(row));
-    }
-    for (size_t c = 0; c < def.properties.size(); ++c) {
-      add_section(base + "p" + std::to_string(c),
-                  BuildColumnSection(table.column(c), chunk_size));
-    }
+    add_section(base + "oid", BuildInt64Section(batch.oids, chunk_size));
+    FLEX_RETURN_NOT_OK(add_columns(
+        base, def.properties, batch.rows.size(),
+        [&](size_t i) -> const auto& { return batch.rows[i]; }));
   }
 
   // ---- Edge sections (sorted by (src, dst) with a per-chunk src index).
@@ -251,14 +288,10 @@ Status WriteGraphAr(const std::string& path, const PropertyGraphData& data,
     add_section(base + "src", BuildInt64Section(src, chunk_size));
     add_section(base + "dst", BuildInt64Section(dst, chunk_size));
 
-    PropertyTable table(def.properties);
-    for (size_t i = 0; i < m; ++i) {
-      FLEX_RETURN_NOT_OK(table.AppendRow(batch.rows[order[i]]));
-    }
-    for (size_t c = 0; c < def.properties.size(); ++c) {
-      add_section(base + "p" + std::to_string(c),
-                  BuildColumnSection(table.column(c), chunk_size));
-    }
+    FLEX_RETURN_NOT_OK(
+        add_columns(base, def.properties, m, [&](size_t i) -> const auto& {
+          return batch.rows[order[i]];
+        }));
 
     // Chunk index: [min_src, max_src] per chunk.
     std::vector<uint8_t> idx;
@@ -322,7 +355,7 @@ Result<std::unique_ptr<GraphArReader>> GraphArReader::Open(
     if (!GetString({f.data(), f.size()}, &pos, &name) ||
         !GetVarint64(f.data(), f.size(), &pos, &offset) ||
         !GetVarint64(f.data(), f.size(), &pos, &length) ||
-        offset + length > f.size()) {
+        offset > f.size() || length > f.size() - offset) {
       return Status::IoError("corrupt directory entry");
     }
     reader->directory_[name] = {offset, length};
@@ -342,22 +375,38 @@ Result<std::span<const uint8_t>> GraphArReader::Section(
                                   it->second.second);
 }
 
-Result<size_t> GraphArReader::DecodeWholeColumn(const std::string& section,
-                                                PropertyColumn* column) const {
-  FLEX_ASSIGN_OR_RETURN(auto bytes, Section(section));
-  FLEX_ASSIGN_OR_RETURN(ParsedSection parsed, ParseChunks(bytes));
-  for (const ChunkRef& chunk : parsed.chunks) {
-    FLEX_RETURN_NOT_OK(DecodeColumnChunk(chunk.bytes, chunk.nrows, column));
+Result<ParsedSection> GraphArReader::ParseSection(
+    const std::string& name) const {
+  FLEX_ASSIGN_OR_RETURN(auto bytes, Section(name));
+  return ParseChunks(bytes);
+}
+
+Result<std::vector<std::vector<PropertyValue>>> GraphArReader::DecodeRows(
+    const std::string& base, const std::vector<PropertyDef>& defs,
+    size_t rows) const {
+  PropertyTable table(defs);
+  for (size_t c = 0; c < defs.size(); ++c) {
+    const std::string section = base + "p" + std::to_string(c);
+    FLEX_ASSIGN_OR_RETURN(ParsedSection parsed, ParseSection(section));
+    for (const ChunkRef& chunk : parsed.chunks) {
+      FLEX_RETURN_NOT_OK(
+          DecodeColumnChunk(chunk.bytes, chunk.nrows, &table.column(c)));
+    }
+    if (table.column(c).size() != rows) {
+      return Status::IoError(section + " does not hold " +
+                             std::to_string(rows) + " rows");
+    }
   }
-  return parsed.total_rows;
+  std::vector<std::vector<PropertyValue>> out;
+  out.reserve(rows);
+  for (size_t row = 0; row < rows; ++row) out.push_back(table.GetRow(row));
+  return out;
 }
 
 Result<std::vector<int64_t>> GraphArReader::DecodeInt64Section(
     const std::string& section) const {
-  FLEX_ASSIGN_OR_RETURN(auto bytes, Section(section));
-  FLEX_ASSIGN_OR_RETURN(ParsedSection parsed, ParseChunks(bytes));
+  FLEX_ASSIGN_OR_RETURN(ParsedSection parsed, ParseSection(section));
   std::vector<int64_t> values;
-  values.reserve(parsed.total_rows);
   for (const ChunkRef& chunk : parsed.chunks) {
     FLEX_RETURN_NOT_OK(DecodeInt64Chunk(chunk.bytes, chunk.nrows, &values));
   }
@@ -373,39 +422,24 @@ Result<PropertyGraphData> GraphArReader::ReadAll() const {
   for (size_t l = 0; l < schema_.vertex_label_num(); ++l) {
     const auto& def = schema_.vertex_label(static_cast<label_t>(l));
     const std::string base = "v/" + def.name + "/";
-    FLEX_ASSIGN_OR_RETURN(auto oids, DecodeInt64Section(base + "oid"));
     auto& batch = data.vertices[l];
-    batch.oids.assign(oids.begin(), oids.end());
-    PropertyTable table(def.properties);
-    for (size_t c = 0; c < def.properties.size(); ++c) {
-      FLEX_RETURN_NOT_OK(
-          DecodeWholeColumn(base + "p" + std::to_string(c), &table.column(c))
-              .status());
-    }
-    batch.rows.reserve(oids.size());
-    for (size_t row = 0; row < oids.size(); ++row) {
-      batch.rows.push_back(table.GetRow(row));
-    }
+    FLEX_ASSIGN_OR_RETURN(batch.oids, DecodeInt64Section(base + "oid"));
+    FLEX_ASSIGN_OR_RETURN(batch.rows,
+                          DecodeRows(base, def.properties, batch.oids.size()));
   }
 
   for (size_t l = 0; l < schema_.edge_label_num(); ++l) {
     const auto& def = schema_.edge_label(static_cast<label_t>(l));
     const std::string base = "e/" + def.name + "/";
-    FLEX_ASSIGN_OR_RETURN(auto src, DecodeInt64Section(base + "src"));
-    FLEX_ASSIGN_OR_RETURN(auto dst, DecodeInt64Section(base + "dst"));
     auto& batch = data.edges[l];
-    batch.src_oids.assign(src.begin(), src.end());
-    batch.dst_oids.assign(dst.begin(), dst.end());
-    PropertyTable table(def.properties);
-    for (size_t c = 0; c < def.properties.size(); ++c) {
-      FLEX_RETURN_NOT_OK(
-          DecodeWholeColumn(base + "p" + std::to_string(c), &table.column(c))
-              .status());
+    FLEX_ASSIGN_OR_RETURN(batch.src_oids, DecodeInt64Section(base + "src"));
+    FLEX_ASSIGN_OR_RETURN(batch.dst_oids, DecodeInt64Section(base + "dst"));
+    if (batch.dst_oids.size() != batch.src_oids.size()) {
+      return Status::IoError("edge label " + def.name +
+                             ": src and dst columns differ in length");
     }
-    batch.rows.reserve(src.size());
-    for (size_t row = 0; row < src.size(); ++row) {
-      batch.rows.push_back(table.GetRow(row));
-    }
+    FLEX_ASSIGN_OR_RETURN(
+        batch.rows, DecodeRows(base, def.properties, batch.src_oids.size()));
   }
   return data;
 }
@@ -419,13 +453,16 @@ Status GraphArReader::ScanVertices(
   }
   const auto& def = schema_.vertex_label(label);
   const std::string base = "v/" + def.name + "/";
-  FLEX_ASSIGN_OR_RETURN(auto oid_bytes, Section(base + "oid"));
-  FLEX_ASSIGN_OR_RETURN(ParsedSection oid_chunks, ParseChunks(oid_bytes));
+  FLEX_ASSIGN_OR_RETURN(ParsedSection oid_chunks, ParseSection(base + "oid"));
   std::vector<ParsedSection> prop_chunks(def.properties.size());
   for (size_t c = 0; c < def.properties.size(); ++c) {
-    FLEX_ASSIGN_OR_RETURN(auto bytes,
-                          Section(base + "p" + std::to_string(c)));
-    FLEX_ASSIGN_OR_RETURN(prop_chunks[c], ParseChunks(bytes));
+    FLEX_ASSIGN_OR_RETURN(prop_chunks[c],
+                          ParseSection(base + "p" + std::to_string(c)));
+    if (!SameChunking(prop_chunks[c], oid_chunks)) {
+      return Status::IoError("vertex label " + def.name + ": column p" +
+                             std::to_string(c) +
+                             " is not chunked like its oids");
+    }
   }
 
   // Chunk-synchronized streaming decode.
@@ -472,10 +509,13 @@ Result<std::vector<oid_t>> GraphArReader::FetchNeighbors(label_t edge_label,
 
   std::vector<oid_t> neighbors;
   if (candidates.empty()) return neighbors;
-  FLEX_ASSIGN_OR_RETURN(auto src_bytes, Section(base + "src"));
-  FLEX_ASSIGN_OR_RETURN(auto dst_bytes, Section(base + "dst"));
-  FLEX_ASSIGN_OR_RETURN(ParsedSection src_chunks, ParseChunks(src_bytes));
-  FLEX_ASSIGN_OR_RETURN(ParsedSection dst_chunks, ParseChunks(dst_bytes));
+  FLEX_ASSIGN_OR_RETURN(ParsedSection src_chunks, ParseSection(base + "src"));
+  FLEX_ASSIGN_OR_RETURN(ParsedSection dst_chunks, ParseSection(base + "dst"));
+  if (nchunks != src_chunks.chunks.size() ||
+      !SameChunking(src_chunks, dst_chunks)) {
+    return Status::IoError("edge label " + def.name +
+                           ": chunk index does not match its src/dst columns");
+  }
   for (size_t c : candidates) {
     std::vector<int64_t> srcs, dsts;
     FLEX_RETURN_NOT_OK(DecodeInt64Chunk(src_chunks.chunks[c].bytes,
@@ -491,19 +531,15 @@ Result<std::vector<oid_t>> GraphArReader::FetchNeighbors(label_t edge_label,
 
 // ------------------------------------------------------------ direct GRIN
 
-/// GRIN view backed by the archive: topology decoded up front (traversals
-/// need it), property chunks decoded lazily with a one-chunk cache per
-/// column. This is deliberately the slowest backend of the three (Fig 7(a))
-/// — its design centre is archival density, not hot access.
-class GraphArDirectGraph final : public grin::GrinGraph {
+/// GRIN view backed by the archive: topology decoded up front into the
+/// shared CsrTopology (traversals need it), property chunks decoded lazily
+/// with a one-chunk cache per column. This is deliberately the slowest
+/// backend of the three (Fig 7(a)) — its design centre is archival
+/// density, not hot access.
+class GraphArDirectGraph final : public storage::CsrGrinGraph {
  public:
-  static Result<std::unique_ptr<grin::GrinGraph>> Open(
-      const GraphArReader* reader) {
-    auto g = std::unique_ptr<GraphArDirectGraph>(
-        new GraphArDirectGraph(reader));
-    FLEX_RETURN_NOT_OK(g->Load());
-    return std::unique_ptr<grin::GrinGraph>(std::move(g));
-  }
+  GraphArDirectGraph(const GraphArReader* reader, CsrTopology topology)
+      : CsrGrinGraph(&csr_), reader_(reader), csr_(std::move(topology)) {}
 
   std::string backend_name() const override { return "graphar"; }
 
@@ -515,33 +551,6 @@ class GraphArDirectGraph final : public grin::GrinGraph {
   }
 
   const GraphSchema& schema() const override { return reader_->schema(); }
-
-  vid_t NumVertices() const override {
-    return static_cast<vid_t>(oids_.size());
-  }
-  vid_t NumVerticesOfLabel(label_t label) const override {
-    return label_start_[label + 1] - label_start_[label];
-  }
-  label_t VertexLabelOf(vid_t v) const override {
-    for (size_t l = 0; l + 1 < label_start_.size(); ++l) {
-      if (v < label_start_[l + 1]) return static_cast<label_t>(l);
-    }
-    return kInvalidLabel;
-  }
-  std::pair<vid_t, vid_t> VertexRange(label_t label) const override {
-    return {label_start_[label], label_start_[label + 1]};
-  }
-
-  void VisitVertices(label_t label, size_t begin, size_t end,
-                     bool (*visitor)(void*, vid_t),
-                     void* visitor_ctx) const override {
-    FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    const vid_t first = label_start_[label];
-    end = std::min<size_t>(end, NumVerticesOfLabel(label));
-    for (size_t row = begin; row < end; ++row) {
-      if (!visitor(visitor_ctx, static_cast<vid_t>(first + row))) return;
-    }
-  }
 
   bool VisitVerticesFiltered(label_t label, size_t begin, size_t end,
                              const grin::VertexFilter& filter,
@@ -556,44 +565,22 @@ class GraphArDirectGraph final : public grin::GrinGraph {
     FLEX_COUNTER_INC(metrics::kStorageScansTotal);
     const auto& def = reader_->schema().vertex_label(label);
 
-    // One open column = parsed chunk table + lazily decoded current chunk.
+    // One open column = parsed chunk table + its decode cursor; a column
+    // that cannot be opened has no chunks, so every row reads as empty.
     struct ScanColumn {
-      bool ok = false;
       PropertyType type{};
       ParsedSection parsed;
-      size_t chunk_rows = 0;
-      int64_t cached_chunk = -1;
-      std::unique_ptr<PropertyColumn> column;
+      ChunkCursor cursor;
 
-      PropertyValue Get(size_t row) {
-        if (!ok) return PropertyValue();
-        const size_t chunk_id = row / chunk_rows;
-        if (chunk_id >= parsed.chunks.size()) return PropertyValue();
-        if (cached_chunk != static_cast<int64_t>(chunk_id)) {
-          auto decoded = std::make_unique<PropertyColumn>(type);
-          if (!DecodeColumnChunk(parsed.chunks[chunk_id].bytes,
-                                 parsed.chunks[chunk_id].nrows, decoded.get())
-                   .ok()) {
-            return PropertyValue();
-          }
-          cached_chunk = static_cast<int64_t>(chunk_id);
-          column = std::move(decoded);
-        }
-        return column->Get(row - chunk_id * chunk_rows);
-      }
+      PropertyValue Get(size_t row) { return cursor.Get(parsed, type, row); }
     };
     auto open_column = [&](size_t col) {
       ScanColumn sc;
       if (col >= def.properties.size()) return sc;
       sc.type = def.properties[col].type;
-      auto bytes =
-          reader_->Section("v/" + def.name + "/p" + std::to_string(col));
-      if (!bytes.ok()) return sc;
-      auto parsed = ParseChunks(bytes.value());
-      if (!parsed.ok() || parsed.value().chunks.empty()) return sc;
-      sc.parsed = std::move(parsed).value();
-      sc.chunk_rows = sc.parsed.chunks[0].nrows;
-      sc.ok = sc.chunk_rows > 0;
+      auto parsed =
+          reader_->ParseSection("v/" + def.name + "/p" + std::to_string(col));
+      if (parsed.ok()) sc.parsed = std::move(parsed).value();
       return sc;
     };
     std::vector<ScanColumn> cond_cols;
@@ -608,9 +595,9 @@ class GraphArDirectGraph final : public grin::GrinGraph {
     for (const size_t col : project_cols) proj_cols.push_back(open_column(col));
 
     std::vector<PropertyValue> props(project_cols.size());
+    const vid_t first = topology().VertexRange(label).first;
     end = std::min<size_t>(end, NumVerticesOfLabel(label));
     for (size_t row = begin; row < end; ++row) {
-      const auto v = static_cast<vid_t>(label_start_[label] + row);
       bool pass = true;
       for (size_t i = 0; i < filter.conditions.size(); ++i) {
         if (!grin::MatchesCondition(filter.conditions[i],
@@ -626,297 +613,96 @@ class GraphArDirectGraph final : public grin::GrinGraph {
       for (size_t p = 0; p < proj_cols.size(); ++p) {
         props[p] = proj_cols[p].Get(row);
       }
-      if (!visitor(visitor_ctx, v, props)) return false;
-    }
-    return true;
-  }
-
-  bool VisitAdj(vid_t v, Direction dir, label_t edge_label,
-                grin::AdjVisitor visitor, void* ctx) const override {
-    if (dir == Direction::kBoth) {
-      return VisitAdj(v, Direction::kOut, edge_label, visitor, ctx) &&
-             VisitAdj(v, Direction::kIn, edge_label, visitor, ctx);
-    }
-    FLEX_COUNTER_INC(metrics::kStorageAdjVisitsTotal);
-    const Topo& t = topo_[edge_label];
-    grin::AdjChunk chunk;
-    if (dir == Direction::kOut) {
-      chunk.neighbors = {t.out_nbrs.data() + t.out_offsets[v],
-                         t.out_offsets[v + 1] - t.out_offsets[v]};
-      chunk.edge_id_base = t.out_offsets[v];
-    } else {
-      chunk.neighbors = {t.in_nbrs.data() + t.in_offsets[v],
-                         t.in_offsets[v + 1] - t.in_offsets[v]};
-      chunk.edge_ids = {t.in_eids.data() + t.in_offsets[v],
-                        t.in_offsets[v + 1] - t.in_offsets[v]};
-    }
-    if (chunk.neighbors.empty()) return true;
-    return visitor(ctx, chunk);
-  }
-
-  bool GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
-                         label_t edge_label, grin::BatchAdjVisitor visitor,
-                         void* ctx) const override {
-    // One virtual call per batch, CSR slices handed out directly. Counter
-    // increments match the scalar path: one per source per concrete
-    // direction.
-    const Topo& t = topo_[edge_label];
-    auto emit = [&](size_t i, Direction d) -> bool {
-      FLEX_COUNTER_INC(metrics::kStorageAdjVisitsTotal);
-      const vid_t v = vids[i];
-      grin::AdjChunk chunk;
-      if (d == Direction::kOut) {
-        chunk.neighbors = {t.out_nbrs.data() + t.out_offsets[v],
-                           t.out_offsets[v + 1] - t.out_offsets[v]};
-        chunk.edge_id_base = t.out_offsets[v];
-      } else {
-        chunk.neighbors = {t.in_nbrs.data() + t.in_offsets[v],
-                           t.in_offsets[v + 1] - t.in_offsets[v]};
-        chunk.edge_ids = {t.in_eids.data() + t.in_offsets[v],
-                          t.in_offsets[v + 1] - t.in_offsets[v]};
+      if (!visitor(visitor_ctx, static_cast<vid_t>(first + row), props)) {
+        return false;
       }
-      if (chunk.neighbors.empty()) return true;
-      return visitor(ctx, i, d, chunk);
-    };
-    for (size_t i = 0; i < vids.size(); ++i) {
-      if (dir != Direction::kIn && !emit(i, Direction::kOut)) return false;
-      if (dir != Direction::kOut && !emit(i, Direction::kIn)) return false;
     }
     return true;
-  }
-
-  size_t Degree(vid_t v, Direction dir, label_t edge_label) const override {
-    const Topo& t = topo_[edge_label];
-    size_t deg = 0;
-    if (dir != Direction::kIn) deg += t.out_offsets[v + 1] - t.out_offsets[v];
-    if (dir != Direction::kOut) deg += t.in_offsets[v + 1] - t.in_offsets[v];
-    return deg;
   }
 
   PropertyValue GetVertexProperty(vid_t v, size_t col) const override {
     const label_t label = VertexLabelOf(v);
-    const size_t row = v - label_start_[label];
+    const size_t row = v - topology().VertexRange(label).first;
     const auto& def = reader_->schema().vertex_label(label);
-    const std::string section =
-        "v/" + def.name + "/p" + std::to_string(col);
-    return CachedGet(section, def.properties[col].type, row);
+    PropertyValue value;
+    CachedGet("v/" + def.name + "/p" + std::to_string(col),
+              def.properties[col].type, 1, [&](size_t) { return row; },
+              &value);
+    return value;
   }
 
   PropertyValue GetEdgeProperty(label_t edge_label, eid_t e,
                                 size_t col) const override {
     const auto& def = reader_->schema().edge_label(edge_label);
-    const std::string section =
-        "e/" + def.name + "/p" + std::to_string(col);
-    return CachedGet(section, def.properties[col].type, e);
+    PropertyValue value;
+    CachedGet("e/" + def.name + "/p" + std::to_string(col),
+              def.properties[col].type, 1, [&](size_t) { return e; }, &value);
+    return value;
   }
 
   void GetVerticesProperties(std::span<const vid_t> vids, size_t col,
                              PropertyValue* out) const override {
     // Parse the archive section once per same-label run instead of once
-    // per vertex (the scalar CachedGet re-reads and re-parses the chunk
-    // table on every call; only the decoded chunk is cached).
+    // per vertex (a scalar read re-reads and re-parses the chunk table on
+    // every call; only the decoded chunk is cached).
     size_t i = 0;
     while (i < vids.size()) {
       const label_t label = VertexLabelOf(vids[i]);
+      const auto [first, last] = topology().VertexRange(label);
       size_t j = i + 1;
-      while (j < vids.size() && vids[j] >= label_start_[label] &&
-             vids[j] < label_start_[label + 1]) {
-        ++j;
-      }
+      while (j < vids.size() && vids[j] >= first && vids[j] < last) ++j;
       const auto& def = reader_->schema().vertex_label(label);
-      const std::string section =
-          "v/" + def.name + "/p" + std::to_string(col);
-      CachedGetBatch(section, def.properties[col].type, label_start_[label],
-                     vids.subspan(i, j - i), out + i);
+      CachedGet("v/" + def.name + "/p" + std::to_string(col),
+                def.properties[col].type, j - i,
+                [&](size_t k) { return vids[i + k] - first; }, out + i);
       i = j;
     }
   }
 
-  Result<vid_t> FindVertex(label_t label, oid_t oid) const override {
-    FLEX_COUNTER_INC(metrics::kStorageIndexLookupsTotal);
-    auto it = oid_index_[label].find(oid);
-    if (it == oid_index_[label].end()) {
-      return Status::NotFound("vertex oid " + std::to_string(oid));
-    }
-    return it->second;
-  }
-
-  oid_t GetOid(vid_t v) const override { return oids_[v]; }
-
  private:
-  struct Topo {
-    std::vector<eid_t> out_offsets, in_offsets;
-    std::vector<vid_t> out_nbrs, in_nbrs;
-    std::vector<eid_t> in_eids;
-  };
-
-  explicit GraphArDirectGraph(const GraphArReader* reader)
-      : reader_(reader) {}
-
-  Status Load() {
-    const GraphSchema& schema = reader_->schema();
-    label_start_.assign(schema.vertex_label_num() + 1, 0);
-    oid_index_.resize(schema.vertex_label_num());
-    for (size_t l = 0; l < schema.vertex_label_num(); ++l) {
-      const auto& def = schema.vertex_label(static_cast<label_t>(l));
-      FLEX_ASSIGN_OR_RETURN(auto label_oids,
-                            reader_->DecodeInt64Section("v/" + def.name +
-                                                        "/oid"));
-      label_start_[l + 1] =
-          label_start_[l] + static_cast<vid_t>(label_oids.size());
-      auto& index = oid_index_[l];
-      index.reserve(label_oids.size() * 2);
-      for (size_t i = 0; i < label_oids.size(); ++i) {
-        const vid_t vid = label_start_[l] + static_cast<vid_t>(i);
-        oids_.push_back(label_oids[i]);
-        index.emplace(label_oids[i], vid);
-      }
-    }
-    const vid_t total_v = label_start_.back();
-
-    topo_.resize(schema.edge_label_num());
-    for (size_t el = 0; el < schema.edge_label_num(); ++el) {
-      const auto& def = schema.edge_label(static_cast<label_t>(el));
-      const std::string base = "e/" + def.name + "/";
-      FLEX_ASSIGN_OR_RETURN(auto src_oids,
-                            reader_->DecodeInt64Section(base + "src"));
-      FLEX_ASSIGN_OR_RETURN(auto dst_oids,
-                            reader_->DecodeInt64Section(base + "dst"));
-      Topo& t = topo_[el];
-      const size_t m = src_oids.size();
-      std::vector<vid_t> srcs(m), dsts(m);
-      for (size_t i = 0; i < m; ++i) {
-        auto sit = oid_index_[def.src_label].find(src_oids[i]);
-        auto dit = oid_index_[def.dst_label].find(dst_oids[i]);
-        if (sit == oid_index_[def.src_label].end() ||
-            dit == oid_index_[def.dst_label].end()) {
-          return Status::IoError("archive edge references unknown vertex");
-        }
-        srcs[i] = sit->second;
-        dsts[i] = dit->second;
-      }
-      t.out_offsets.assign(total_v + 1, 0);
-      t.in_offsets.assign(total_v + 1, 0);
-      for (size_t i = 0; i < m; ++i) ++t.out_offsets[srcs[i] + 1];
-      for (size_t i = 0; i < m; ++i) ++t.in_offsets[dsts[i] + 1];
-      for (vid_t v = 0; v < total_v; ++v) {
-        t.out_offsets[v + 1] += t.out_offsets[v];
-        t.in_offsets[v + 1] += t.in_offsets[v];
-      }
-      t.out_nbrs.resize(m);
-      t.in_nbrs.resize(m);
-      t.in_eids.resize(m);
-      std::vector<eid_t> slot_of_input(m);
-      {
-        std::vector<eid_t> cursor(t.out_offsets.begin(),
-                                  t.out_offsets.end() - 1);
-        for (size_t i = 0; i < m; ++i) {
-          const eid_t slot = cursor[srcs[i]]++;
-          t.out_nbrs[slot] = dsts[i];
-          slot_of_input[i] = slot;
-        }
-      }
-      {
-        std::vector<eid_t> cursor(t.in_offsets.begin(),
-                                  t.in_offsets.end() - 1);
-        for (size_t i = 0; i < m; ++i) {
-          const eid_t slot = cursor[dsts[i]]++;
-          t.in_nbrs[slot] = srcs[i];
-          t.in_eids[slot] = slot_of_input[i];
-        }
-      }
-      // Note: edges are sorted in the file, so counting sort preserves file
-      // order within each source — out-CSR rank == file row == eid, and
-      // property chunk lookups by eid are consistent.
-    }
-    return Status::OK();
-  }
-
-  /// Decodes the chunk containing `row` of `section` (one-chunk cache).
-  PropertyValue CachedGet(const std::string& section, PropertyType type,
-                          size_t row) const {
+  /// Reads rows `row(i)`, i < n, of `section` into `out`: the section
+  /// read and chunk-table parse happen once per call, and the one-chunk
+  /// decode cache serves sequential rows.
+  template <typename Row>
+  void CachedGet(const std::string& section, PropertyType type, size_t n,
+                 const Row& row, PropertyValue* out) const {
     MutexLock lock(&cache_mu_);
-    auto& entry = cache_[section];
-    auto bytes = reader_->Section(section);
-    if (!bytes.ok()) return PropertyValue();
-    auto parsed = ParseChunks(bytes.value());
-    if (!parsed.ok()) return PropertyValue();
-    // Locate the chunk (uniform chunk size except the last).
-    const auto& chunks = parsed.value().chunks;
-    if (chunks.empty()) return PropertyValue();
-    const size_t chunk_rows = chunks[0].nrows;
-    const size_t chunk_id = row / chunk_rows;
-    if (chunk_id >= chunks.size()) return PropertyValue();
-    if (entry.chunk_id != static_cast<int64_t>(chunk_id) ||
-        entry.column == nullptr) {
-      auto column = std::make_unique<PropertyColumn>(type);
-      if (!DecodeColumnChunk(chunks[chunk_id].bytes, chunks[chunk_id].nrows,
-                             column.get())
-               .ok()) {
-        return PropertyValue();
-      }
-      entry.chunk_id = static_cast<int64_t>(chunk_id);
-      entry.column = std::move(column);
-    }
-    return entry.column->Get(row - chunk_id * chunk_rows);
-  }
-
-  /// Batched CachedGet over one same-label run: section read + chunk-table
-  /// parse happen once; the one-chunk decode cache serves sequential rows.
-  void CachedGetBatch(const std::string& section, PropertyType type,
-                      vid_t base, std::span<const vid_t> vids,
-                      PropertyValue* out) const {
-    MutexLock lock(&cache_mu_);
-    auto fill_empty = [&] {
-      for (size_t i = 0; i < vids.size(); ++i) out[i] = PropertyValue();
-    };
-    auto bytes = reader_->Section(section);
-    if (!bytes.ok()) return fill_empty();
-    auto parsed = ParseChunks(bytes.value());
-    if (!parsed.ok()) return fill_empty();
-    const auto& chunks = parsed.value().chunks;
-    if (chunks.empty()) return fill_empty();
-    const size_t chunk_rows = chunks[0].nrows;
-    auto& entry = cache_[section];
-    for (size_t i = 0; i < vids.size(); ++i) {
-      const size_t row = vids[i] - base;
-      const size_t chunk_id = row / chunk_rows;
-      if (chunk_id >= chunks.size()) {
-        out[i] = PropertyValue();
-        continue;
-      }
-      if (entry.chunk_id != static_cast<int64_t>(chunk_id) ||
-          entry.column == nullptr) {
-        auto column = std::make_unique<PropertyColumn>(type);
-        if (!DecodeColumnChunk(chunks[chunk_id].bytes, chunks[chunk_id].nrows,
-                               column.get())
-                 .ok()) {
-          out[i] = PropertyValue();
-          continue;
-        }
-        entry.chunk_id = static_cast<int64_t>(chunk_id);
-        entry.column = std::move(column);
-      }
-      out[i] = entry.column->Get(row - chunk_id * chunk_rows);
+    const auto parsed = reader_->ParseSection(section);
+    ChunkCursor& cursor = cache_[section];
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = parsed.ok() ? cursor.Get(parsed.value(), type, row(i))
+                           : PropertyValue();
     }
   }
 
   const GraphArReader* reader_;
-  std::vector<vid_t> label_start_;
-  std::vector<oid_t> oids_;
-  std::vector<std::unordered_map<oid_t, vid_t>> oid_index_;
-  std::vector<Topo> topo_;
+  CsrTopology csr_;
 
-  struct CacheEntry {
-    int64_t chunk_id = -1;
-    std::unique_ptr<PropertyColumn> column;
-  };
   mutable Mutex cache_mu_;
-  mutable std::map<std::string, CacheEntry> cache_ GUARDED_BY(cache_mu_);
+  mutable std::map<std::string, ChunkCursor> cache_ GUARDED_BY(cache_mu_);
 };
 
 Result<std::unique_ptr<grin::GrinGraph>> GraphArReader::OpenDirect() const {
-  return GraphArDirectGraph::Open(this);
+  CsrTopology topology;
+  for (size_t l = 0; l < schema_.vertex_label_num(); ++l) {
+    const auto& def = schema_.vertex_label(static_cast<label_t>(l));
+    FLEX_ASSIGN_OR_RETURN(auto oids,
+                          DecodeInt64Section("v/" + def.name + "/oid"));
+    FLEX_RETURN_NOT_OK(topology.AddVertexLabel(oids));
+  }
+  for (size_t el = 0; el < schema_.edge_label_num(); ++el) {
+    const auto& def = schema_.edge_label(static_cast<label_t>(el));
+    const std::string base = "e/" + def.name + "/";
+    FLEX_ASSIGN_OR_RETURN(auto src, DecodeInt64Section(base + "src"));
+    FLEX_ASSIGN_OR_RETURN(auto dst, DecodeInt64Section(base + "dst"));
+    // Edges are sorted by source in the file, so the stable forward CSR
+    // keeps file order within each source: forward edge id == file row,
+    // which the property chunk lookups by edge id rely on.
+    FLEX_RETURN_NOT_OK(
+        topology.AddEdgeLabel(def.src_label, def.dst_label, src, dst));
+  }
+  return std::unique_ptr<grin::GrinGraph>(
+      std::make_unique<GraphArDirectGraph>(this, std::move(topology)));
 }
 
 }  // namespace flex::storage::graphar

@@ -15,6 +15,8 @@
 
 namespace flex::storage::graphar {
 
+struct ParsedSection;
+
 /// Default rows per chunk (mirrors GraphAr's chunked ORC/Parquet layout).
 inline constexpr size_t kDefaultChunkSize = 1024;
 
@@ -61,11 +63,15 @@ class GraphArReader {
   GraphArReader() = default;
 
   Result<std::span<const uint8_t>> Section(const std::string& name) const;
+  /// Section(name)'s chunk table.
+  Result<ParsedSection> ParseSection(const std::string& name) const;
 
-  /// Decodes every chunk of a column section into `column` (type taken
-  /// from the column), returning total rows.
-  Result<size_t> DecodeWholeColumn(const std::string& section,
-                                   PropertyColumn* column) const;
+  /// Decodes the property columns of one label (sections `base` + "p<c>")
+  /// into `rows` boxed rows; kIoError unless every column holds exactly
+  /// that many.
+  Result<std::vector<std::vector<PropertyValue>>> DecodeRows(
+      const std::string& base, const std::vector<PropertyDef>& defs,
+      size_t rows) const;
   Result<std::vector<int64_t>> DecodeInt64Section(
       const std::string& section) const;
 

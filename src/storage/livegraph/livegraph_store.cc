@@ -158,26 +158,34 @@ class LiveGraphGrin final : public grin::GrinGraph {
     FLEX_COUNTER_INC(metrics::kStorageAdjVisitsTotal);
     if (dir != Direction::kOut) return true;  // Out-only baseline store.
     if (v >= num_vertices_) return true;
+    // An edge's id is (v << 32) + its position in v's append-only log:
+    // stable and unique with no per-edge id buffer. A chunk ends at every
+    // skipped record, so the ids inside one stay base + i.
     constexpr size_t kBuf = 64;
     vid_t nbuf[kBuf];
     double wbuf[kBuf];
     size_t fill = 0;
+    const eid_t first = eid_t{v} << 32;
+    eid_t base = first;
+    auto flush = [&](size_t next) {  // `next`: log position after the chunk
+      const grin::AdjChunk chunk{{nbuf, fill}, {wbuf, fill}, {}, base};
+      fill = 0;
+      base = first + next;
+      return chunk.neighbors.empty() || visitor(ctx, chunk);
+    };
     std::shared_lock<std::shared_mutex> lock(store_->mu_);
-    for (const auto& e : store_->adjacency_[v]) {
-      if (e.create > version_ || version_ >= e.remove) continue;
+    const auto& log = store_->adjacency_[v];
+    for (size_t i = 0; i < log.size(); ++i) {
+      const auto& e = log[i];
+      if (e.create > version_ || version_ >= e.remove) {
+        if (!flush(i + 1)) return false;
+        continue;
+      }
       nbuf[fill] = e.nbr;
       wbuf[fill] = e.weight;
-      if (++fill == kBuf) {
-        grin::AdjChunk chunk{{nbuf, fill}, {wbuf, fill}, {}, 0};
-        if (!visitor(ctx, chunk)) return false;
-        fill = 0;
-      }
+      if (++fill == kBuf && !flush(i + 1)) return false;
     }
-    if (fill > 0) {
-      grin::AdjChunk chunk{{nbuf, fill}, {wbuf, fill}, {}, 0};
-      if (!visitor(ctx, chunk)) return false;
-    }
-    return true;
+    return flush(log.size());
   }
 
   size_t Degree(vid_t v, Direction dir, label_t) const override {

@@ -3,11 +3,11 @@
 
 #include <memory>
 
-#include "graph/csr.h"
 #include "graph/edge_list.h"
 #include "graph/property_table.h"
 #include "graph/schema.h"
 #include "grin/grin.h"
+#include "storage/csr_topology.h"
 
 namespace flex::storage {
 
@@ -17,11 +17,12 @@ namespace flex::storage {
 PropertyGraphData MakeSimpleGraphData(const EdgeList& list,
                                       bool with_weights = true);
 
-/// The minimal storage backend ("simple"): an immutable in-memory CSR pair
-/// (out + in) over a single-label graph with vid == oid. It is the
-/// plain-CSR reference point the paper treats as the read-throughput upper
-/// bound, and the baseline every richer backend is compared against in the
-/// cross-backend parity test (tests/backend_parity_test.cc).
+/// The minimal storage backend ("simple"): the shared CsrTopology over a
+/// single-label graph with vid == oid, built straight from an edge list,
+/// with no properties (its one edge label has none, so no weights either).
+/// It is the plain-CSR reference point the paper treats as the
+/// read-throughput upper bound, and one of the backends the cross-backend
+/// parity test (tests/backend_parity_test.cc) holds to the edge list.
 class SimpleCsrStore {
  public:
   explicit SimpleCsrStore(const EdgeList& list);
@@ -29,14 +30,12 @@ class SimpleCsrStore {
   /// GRIN view; valid while this store lives.
   std::unique_ptr<grin::GrinGraph> GetGrinHandle() const;
 
-  const Csr& out() const { return out_; }
-  const Csr& in() const { return in_; }
   const GraphSchema& schema() const { return schema_; }
+  const CsrTopology& topology() const { return topology_; }
 
  private:
   GraphSchema schema_;
-  Csr out_;
-  Csr in_;
+  CsrTopology topology_;
 };
 
 }  // namespace flex::storage

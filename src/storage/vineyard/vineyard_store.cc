@@ -1,182 +1,54 @@
 #include "storage/vineyard/vineyard_store.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
-#include "common/metric_names.h"
-#include "common/metrics.h"
-
 namespace flex::storage {
 
-namespace {
-
-/// Finds the index of the first double-typed property (used as the edge
-/// weight column for analytics), or -1.
-int FirstDoubleProperty(const std::vector<PropertyDef>& defs) {
-  for (size_t i = 0; i < defs.size(); ++i) {
-    if (defs[i].type == PropertyType::kDouble) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<VineyardStore>> VineyardStore::Build(
-    const PropertyGraphData& data, partition_t num_partitions) {
+    const PropertyGraphData& data) {
   auto store = std::unique_ptr<VineyardStore>(new VineyardStore());
   store->schema_ = data.schema;
-  const size_t num_vlabels = data.schema.vertex_label_num();
-  const size_t num_elabels = data.schema.edge_label_num();
+  const GraphSchema& schema = data.schema;
 
-  // ---- Vertices: assign contiguous global-vid ranges per label.
-  store->label_start_.assign(num_vlabels + 1, 0);
-  for (size_t l = 0; l < num_vlabels; ++l) {
-    const size_t count = l < data.vertices.size() ? data.vertices[l].oids.size() : 0;
-    store->label_start_[l + 1] = store->label_start_[l] + static_cast<vid_t>(count);
-  }
-  const vid_t total_v = store->label_start_.back();
-  store->oids_.resize(total_v);
-  store->oid_index_.resize(num_vlabels);
-  store->vertex_tables_.reserve(num_vlabels);
-
-  for (size_t l = 0; l < num_vlabels; ++l) {
-    store->vertex_tables_.emplace_back(
-        data.schema.vertex_label(static_cast<label_t>(l)).properties);
-    if (l >= data.vertices.size()) continue;
-    const auto& batch = data.vertices[l];
-    auto& index = store->oid_index_[l];
-    index.reserve(batch.oids.size() * 2);
-    for (size_t i = 0; i < batch.oids.size(); ++i) {
-      const vid_t vid = store->label_start_[l] + static_cast<vid_t>(i);
-      store->oids_[vid] = batch.oids[i];
-      if (!index.emplace(batch.oids[i], vid).second) {
-        return Status::AlreadyExists(
-            "duplicate vertex oid " + std::to_string(batch.oids[i]) +
-            " in label " + data.schema.vertex_label(static_cast<label_t>(l)).name);
-      }
-      FLEX_RETURN_NOT_OK(store->vertex_tables_[l].AppendRow(batch.rows[i]));
-    }
+  static const PropertyGraphData::VertexBatch kNoVertices;
+  store->vertex_tables_.reserve(schema.vertex_label_num());
+  for (size_t l = 0; l < schema.vertex_label_num(); ++l) {
+    const auto& batch =
+        l < data.vertices.size() ? data.vertices[l] : kNoVertices;
+    FLEX_RETURN_NOT_OK(store->topology_.AddVertexLabel(batch.oids));
+    PropertyTable& table = store->vertex_tables_.emplace_back(
+        schema.vertex_label(static_cast<label_t>(l)).properties);
+    for (const auto& row : batch.rows) FLEX_RETURN_NOT_OK(table.AppendRow(row));
   }
 
-  // ---- Edges: per edge label, counting-sort into forward CSR (tracking
-  // the slot of every input edge), then derive the reverse CSR.
-  store->topo_.resize(num_elabels);
-  store->edge_tables_.reserve(num_elabels);
-  for (size_t el = 0; el < num_elabels; ++el) {
-    const EdgeLabelDef& def = data.schema.edge_label(static_cast<label_t>(el));
-    store->edge_tables_.emplace_back(def.properties);
-    EdgeTopology& topo = store->topo_[el];
-    topo.out_offsets.assign(total_v + 1, 0);
-    topo.in_offsets.assign(total_v + 1, 0);
-    if (el >= data.edges.size()) continue;
-    const auto& batch = data.edges[el];
-    const size_t m = batch.src_oids.size();
-
-    // Resolve oids -> vids.
-    std::vector<vid_t> srcs(m), dsts(m);
-    for (size_t i = 0; i < m; ++i) {
-      const auto& src_index = store->oid_index_[def.src_label];
-      const auto& dst_index = store->oid_index_[def.dst_label];
-      auto sit = src_index.find(batch.src_oids[i]);
-      if (sit == src_index.end()) {
-        return Status::NotFound("edge src oid " +
-                                std::to_string(batch.src_oids[i]));
-      }
-      auto dit = dst_index.find(batch.dst_oids[i]);
-      if (dit == dst_index.end()) {
-        return Status::NotFound("edge dst oid " +
-                                std::to_string(batch.dst_oids[i]));
-      }
-      srcs[i] = sit->second;
-      dsts[i] = dit->second;
-    }
-
-    // Forward CSR.
-    for (size_t i = 0; i < m; ++i) ++topo.out_offsets[srcs[i] + 1];
-    for (size_t v = 0; v < total_v; ++v) {
-      topo.out_offsets[v + 1] += topo.out_offsets[v];
-    }
-    topo.out_nbrs.resize(m);
-    topo.out_weights.assign(m, 1.0);
-    std::vector<eid_t> slot_of_input(m);
-    {
-      std::vector<eid_t> cursor(topo.out_offsets.begin(),
-                                topo.out_offsets.end() - 1);
-      for (size_t i = 0; i < m; ++i) {
-        const eid_t slot = cursor[srcs[i]]++;
-        topo.out_nbrs[slot] = dsts[i];
-        slot_of_input[i] = slot;
-      }
-    }
-
-    // Edge property rows in CSR (slot) order.
-    std::vector<size_t> input_of_slot(m);
-    for (size_t i = 0; i < m; ++i) input_of_slot[slot_of_input[i]] = i;
-    for (size_t s = 0; s < m; ++s) {
-      FLEX_RETURN_NOT_OK(
-          store->edge_tables_[el].AppendRow(batch.rows[input_of_slot[s]]));
-    }
-    const int weight_col = FirstDoubleProperty(def.properties);
-    if (weight_col >= 0) {
-      const auto span = store->edge_tables_[el].column(weight_col).DoubleSpan();
-      std::copy(span.begin(), span.end(), topo.out_weights.begin());
-    }
-
-    // Reverse CSR with edge-id mapping.
-    for (size_t i = 0; i < m; ++i) ++topo.in_offsets[dsts[i] + 1];
-    for (size_t v = 0; v < total_v; ++v) {
-      topo.in_offsets[v + 1] += topo.in_offsets[v];
-    }
-    topo.in_nbrs.resize(m);
-    topo.in_eids.resize(m);
-    {
-      std::vector<eid_t> cursor(topo.in_offsets.begin(),
-                                topo.in_offsets.end() - 1);
-      for (size_t i = 0; i < m; ++i) {
-        const eid_t slot = cursor[dsts[i]]++;
-        topo.in_nbrs[slot] = srcs[i];
-        topo.in_eids[slot] = slot_of_input[i];
+  static const PropertyGraphData::EdgeBatch kNoEdges;
+  store->edge_tables_.reserve(schema.edge_label_num());
+  std::vector<size_t> order;
+  for (size_t el = 0; el < schema.edge_label_num(); ++el) {
+    const auto label = static_cast<label_t>(el);
+    const EdgeLabelDef& def = schema.edge_label(label);
+    const auto& batch = el < data.edges.size() ? data.edges[el] : kNoEdges;
+    FLEX_RETURN_NOT_OK(store->topology_.AddEdgeLabel(
+        def.src_label, def.dst_label, batch.src_oids, batch.dst_oids, &order));
+    PropertyTable& table = store->edge_tables_.emplace_back(def.properties);
+    for (size_t i : order) FLEX_RETURN_NOT_OK(table.AppendRow(batch.rows[i]));
+    // The first double property doubles as the analytics edge weight.
+    for (size_t col = 0; col < def.properties.size(); ++col) {
+      if (def.properties[col].type == PropertyType::kDouble) {
+        store->topology_.SetOutWeights(label, table.column(col).DoubleSpan());
+        break;
       }
     }
   }
-
-  store->partitioner_ = std::make_unique<EdgeCutPartitioner>(
-      total_v == 0 ? 1 : total_v, num_partitions);
   return store;
-}
-
-size_t VineyardStore::num_edges() const {
-  size_t n = 0;
-  for (const auto& t : topo_) n += t.out_nbrs.size();
-  return n;
-}
-
-label_t VineyardStore::VertexLabelOf(vid_t v) const {
-  // label_start_ is tiny (few labels): linear scan beats binary search.
-  for (size_t l = 0; l + 1 < label_start_.size(); ++l) {
-    if (v < label_start_[l + 1]) return static_cast<label_t>(l);
-  }
-  return kInvalidLabel;
-}
-
-Result<vid_t> VineyardStore::FindVertex(label_t label, oid_t oid) const {
-  if (label >= oid_index_.size()) {
-    return Status::InvalidArgument("bad vertex label");
-  }
-  auto it = oid_index_[label].find(oid);
-  if (it == oid_index_[label].end()) {
-    return Status::NotFound("vertex oid " + std::to_string(oid));
-  }
-  return it->second;
 }
 
 // ----------------------------------------------------------- GRIN adapter
 
 /// GRIN view over VineyardStore. Advertises the full trait set: Vineyard
 /// "effectively implement[s] most of the GRIN traits" (§4.2).
-class VineyardGrin final : public grin::GrinGraph {
+class VineyardGrin final : public CsrGrinGraph {
  public:
-  explicit VineyardGrin(const VineyardStore* store) : store_(store) {}
+  explicit VineyardGrin(const VineyardStore* store)
+      : CsrGrinGraph(&store->topology()), store_(store) {}
 
   std::string backend_name() const override { return "vineyard"; }
 
@@ -191,120 +63,31 @@ class VineyardGrin final : public grin::GrinGraph {
            grin::kPartitionedGraph | grin::kOidIndex | grin::kLabelIndex;
   }
 
-  const GraphSchema& schema() const override { return store_->schema_; }
-
-  vid_t NumVertices() const override { return store_->num_vertices(); }
-
-  vid_t NumVerticesOfLabel(label_t label) const override {
-    auto [begin, end] = store_->VertexRange(label);
-    return end - begin;
-  }
-
-  label_t VertexLabelOf(vid_t v) const override {
-    return store_->VertexLabelOf(v);
-  }
-
-  std::pair<vid_t, vid_t> VertexRange(label_t label) const override {
-    return store_->VertexRange(label);
-  }
-
-  void VisitVertices(label_t label, size_t begin, size_t end,
-                     bool (*visitor)(void*, vid_t),
-                     void* visitor_ctx) const override {
-    FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    const auto [first, last] = store_->VertexRange(label);
-    end = std::min<size_t>(end, last - first);
-    for (size_t i = begin; i < end; ++i) {
-      if (!visitor(visitor_ctx, static_cast<vid_t>(first + i))) return;
-    }
-  }
-
-  bool VisitAdj(vid_t v, Direction dir, label_t edge_label,
-                grin::AdjVisitor visitor, void* ctx) const override {
-    if (dir == Direction::kBoth) {
-      return VisitAdj(v, Direction::kOut, edge_label, visitor, ctx) &&
-             VisitAdj(v, Direction::kIn, edge_label, visitor, ctx);
-    }
-    FLEX_COUNTER_INC(metrics::kStorageAdjVisitsTotal);
-    grin::AdjChunk chunk;
-    if (dir == Direction::kOut) {
-      chunk.neighbors = store_->OutNeighbors(v, edge_label);
-      chunk.weights = store_->OutWeights(v, edge_label);
-      chunk.edge_id_base = store_->OutEdgeBase(v, edge_label);
-    } else {
-      chunk.neighbors = store_->InNeighbors(v, edge_label);
-      chunk.edge_ids = store_->InEdgeIds(v, edge_label);
-    }
-    if (chunk.neighbors.empty()) return true;
-    return visitor(ctx, chunk);
-  }
-
-  std::span<const eid_t> AdjacencyOffsets(label_t edge_label,
-                                          Direction dir) const override {
-    const auto& t = store_->topo_[edge_label];
-    if (dir == Direction::kOut) return t.out_offsets;
-    if (dir == Direction::kIn) return t.in_offsets;
-    return {};
-  }
-
-  std::span<const vid_t> AdjacencyNeighbors(label_t edge_label,
-                                            Direction dir) const override {
-    const auto& t = store_->topo_[edge_label];
-    if (dir == Direction::kOut) return t.out_nbrs;
-    if (dir == Direction::kIn) return t.in_nbrs;
-    return {};
-  }
-
-  size_t Degree(vid_t v, Direction dir, label_t edge_label) const override {
-    switch (dir) {
-      case Direction::kOut:
-        return store_->OutNeighbors(v, edge_label).size();
-      case Direction::kIn:
-        return store_->InNeighbors(v, edge_label).size();
-      case Direction::kBoth:
-        return store_->OutNeighbors(v, edge_label).size() +
-               store_->InNeighbors(v, edge_label).size();
-    }
-    return 0;
-  }
+  const GraphSchema& schema() const override { return store_->schema(); }
 
   PropertyValue GetVertexProperty(vid_t v, size_t col) const override {
-    const label_t label = store_->VertexLabelOf(v);
-    return store_->vertex_tables_[label].Get(store_->VertexRow(v), col);
+    const label_t label = topology().VertexLabelOf(v);
+    return store_->vertex_table(label).Get(
+        v - topology().VertexRange(label).first, col);
   }
 
   PropertyValue GetEdgeProperty(label_t edge_label, eid_t e,
                                 size_t col) const override {
-    return store_->edge_tables_[edge_label].Get(e, col);
+    return store_->edge_table(edge_label).Get(e, col);
   }
 
   std::span<const int64_t> VertexInt64Column(label_t label,
                                              size_t col) const override {
-    const auto& column = store_->vertex_tables_[label].column(col);
+    const auto& column = store_->vertex_table(label).column(col);
     if (column.type() != PropertyType::kInt64) return {};
     return column.Int64Span();
   }
 
   std::span<const double> VertexDoubleColumn(label_t label,
                                              size_t col) const override {
-    const auto& column = store_->vertex_tables_[label].column(col);
+    const auto& column = store_->vertex_table(label).column(col);
     if (column.type() != PropertyType::kDouble) return {};
     return column.DoubleSpan();
-  }
-
-  Result<vid_t> FindVertex(label_t label, oid_t oid) const override {
-    FLEX_COUNTER_INC(metrics::kStorageIndexLookupsTotal);
-    return store_->FindVertex(label, oid);
-  }
-
-  oid_t GetOid(vid_t v) const override { return store_->GetOid(v); }
-
-  partition_t NumPartitions() const override {
-    return store_->partitioner().num_partitions();
-  }
-
-  partition_t PartitionOf(vid_t v) const override {
-    return store_->partitioner().GetPartition(v);
   }
 
  private:

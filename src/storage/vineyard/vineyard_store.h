@@ -2,76 +2,34 @@
 #define FLEX_STORAGE_VINEYARD_VINEYARD_STORE_H_
 
 #include <memory>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "graph/partitioner.h"
 #include "graph/property_table.h"
 #include "graph/schema.h"
 #include "graph/types.h"
 #include "grin/grin.h"
+#include "storage/csr_topology.h"
 
 namespace flex::storage {
 
 /// Immutable in-memory labeled-property-graph store, modelled on Vineyard
-/// (§4.2): property graph data model, edge-cut partitioning, CSR + CSC
-/// built-in indices and dense internal vertex ids.
-///
-/// Vertices of each label occupy one contiguous global-vid range, so label
-/// scans are range scans. Per edge label the store keeps a forward CSR
-/// (out edges) and a reverse CSR (in edges); in-edges carry the out-edge's
-/// id so edge properties resolve identically in both directions.
+/// (§4.2): property graph data model, CSR + CSC built-in indices and dense
+/// internal vertex ids, served by the shared CsrTopology. What Vineyard
+/// adds is columnar property tables: vertex rows per label, and edge rows
+/// per edge label in forward edge id order, so edge properties resolve
+/// identically from either end.
 class VineyardStore {
  public:
-  /// Builds an immutable store from raw graph data. `num_partitions`
-  /// configures the edge-cut partition view exposed through GRIN.
+  /// Builds an immutable store from raw graph data.
   static Result<std::unique_ptr<VineyardStore>> Build(
-      const PropertyGraphData& data, partition_t num_partitions = 1);
+      const PropertyGraphData& data);
 
   const GraphSchema& schema() const { return schema_; }
-  vid_t num_vertices() const { return static_cast<vid_t>(oids_.size()); }
-  size_t num_edges() const;
 
-  // ------------------------------------------------------- native access
-  // Direct, devirtualized accessors. The GRIN-overhead experiment
-  // (Fig 7(b)) compares engines using these against the same engines
-  // going through the GRIN handle.
-
-  /// [begin, end) global-vid range of `label`.
-  std::pair<vid_t, vid_t> VertexRange(label_t label) const {
-    return {label_start_[label], label_start_[label + 1]};
-  }
-  label_t VertexLabelOf(vid_t v) const;
-  oid_t GetOid(vid_t v) const { return oids_[v]; }
-  Result<vid_t> FindVertex(label_t label, oid_t oid) const;
-
-  std::span<const vid_t> OutNeighbors(vid_t v, label_t edge_label) const {
-    const auto& t = topo_[edge_label];
-    return {t.out_nbrs.data() + t.out_offsets[v],
-            t.out_offsets[v + 1] - t.out_offsets[v]};
-  }
-  std::span<const vid_t> InNeighbors(vid_t v, label_t edge_label) const {
-    const auto& t = topo_[edge_label];
-    return {t.in_nbrs.data() + t.in_offsets[v],
-            t.in_offsets[v + 1] - t.in_offsets[v]};
-  }
-  std::span<const double> OutWeights(vid_t v, label_t edge_label) const {
-    const auto& t = topo_[edge_label];
-    return {t.out_weights.data() + t.out_offsets[v],
-            t.out_offsets[v + 1] - t.out_offsets[v]};
-  }
-  /// Out-edge ids for v are sequential: [out_offsets[v], out_offsets[v+1]).
-  eid_t OutEdgeBase(vid_t v, label_t edge_label) const {
-    return topo_[edge_label].out_offsets[v];
-  }
-  /// Edge ids of v's in-edges (positions in the forward CSR).
-  std::span<const eid_t> InEdgeIds(vid_t v, label_t edge_label) const {
-    const auto& t = topo_[edge_label];
-    return {t.in_eids.data() + t.in_offsets[v],
-            t.in_offsets[v + 1] - t.in_offsets[v]};
-  }
+  /// The shared topology, read directly: the devirtualized native path the
+  /// GRIN-overhead experiment (Fig 7(b)) compares the GRIN handle against.
+  const CsrTopology& topology() const { return topology_; }
 
   const PropertyTable& vertex_table(label_t label) const {
     return vertex_tables_[label];
@@ -79,36 +37,17 @@ class VineyardStore {
   const PropertyTable& edge_table(label_t label) const {
     return edge_tables_[label];
   }
-  /// Row of `v` within its label's property table.
-  size_t VertexRow(vid_t v) const { return v - label_start_[VertexLabelOf(v)]; }
-
-  const EdgeCutPartitioner& partitioner() const { return *partitioner_; }
 
   /// Creates a GRIN view of this store (non-owning).
   std::unique_ptr<grin::GrinGraph> GetGrinHandle() const;
 
  private:
-  friend class VineyardGrin;
-
-  struct EdgeTopology {
-    std::vector<eid_t> out_offsets;  // size V+1
-    std::vector<vid_t> out_nbrs;
-    std::vector<double> out_weights;
-    std::vector<eid_t> in_offsets;   // size V+1
-    std::vector<vid_t> in_nbrs;
-    std::vector<eid_t> in_eids;      // forward-CSR rank of each in-edge
-  };
-
   VineyardStore() = default;
 
   GraphSchema schema_;
-  std::vector<vid_t> label_start_;  // size L+1
-  std::vector<oid_t> oids_;         // size V (global vid -> oid)
-  std::vector<std::unordered_map<oid_t, vid_t>> oid_index_;  // per label
-  std::vector<PropertyTable> vertex_tables_;                 // per label
-  std::vector<PropertyTable> edge_tables_;  // per edge label, CSR order
-  std::vector<EdgeTopology> topo_;          // per edge label
-  std::unique_ptr<EdgeCutPartitioner> partitioner_;
+  CsrTopology topology_;
+  std::vector<PropertyTable> vertex_tables_;  // per label
+  std::vector<PropertyTable> edge_tables_;    // per edge label, forward order
 };
 
 }  // namespace flex::storage

@@ -1,25 +1,31 @@
 // Cross-backend parity: the same generated graph served through GRIN by
 // all five storage backends (simple CSR, vineyard, GART, LiveGraph,
-// GraphAr) must yield bit-identical analytics results. Vid numbering is a
-// backend-private detail, so every traversal below goes through the
-// index trait (oid -> vid -> oid) and normalizes adjacency to sorted oid
-// lists; after that, PageRank runs the exact same FP operations in the
-// exact same order for every backend, making EXPECT_EQ on doubles the
-// honest comparison, not an approximation. The scan-window tests hold
-// every backend to GRIN's position-window contract, and each native
-// filtered scan to the GrinGraph default on the same handle.
+// GraphAr) must yield bit-identical analytics results, each checked
+// against the edge list itself (three backends share one CSR builder, so
+// none of them can be the reference). Vid numbering is a backend-private
+// detail, so every traversal below goes through the index trait
+// (oid -> vid -> oid) and normalizes adjacency to sorted oid lists; after
+// that, PageRank runs the exact same FP operations in the exact same order
+// for every backend, making EXPECT_EQ on doubles the honest comparison,
+// not an approximation. The edge-identity tests hold every backend to
+// GRIN's one-id-per-edge contract, the scan-window tests to its
+// position-window contract, and each native filtered scan to the
+// GrinGraph default on the same handle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "datagen/generators.h"
 #include "grin/grin.h"
+#include "query/service.h"
 #include "storage/gart/gart_store.h"
 #include "storage/graphar/graphar.h"
 #include "storage/livegraph/livegraph_store.h"
@@ -126,6 +132,14 @@ std::vector<std::vector<oid_t>> OidAdjacency(const grin::GrinGraph& g,
   return out;
 }
 
+/// The edge list's own out-adjacency as sorted oid lists (oid == index).
+std::vector<std::vector<oid_t>> ListAdjacency(const EdgeList& list) {
+  std::vector<std::vector<oid_t>> out(list.num_vertices);
+  for (const RawEdge& e : list.edges) out[e.src].push_back(e.dst);
+  for (auto& nbrs : out) std::sort(nbrs.begin(), nbrs.end());
+  return out;
+}
+
 /// Textbook PageRank over pre-normalized adjacency. Identical inputs →
 /// identical FP operation order → bit-identical output.
 std::vector<double> PageRank(const std::vector<std::vector<oid_t>>& out,
@@ -171,6 +185,18 @@ std::vector<oid_t> TwoHop(const grin::GrinGraph& g, oid_t source) {
   return result;
 }
 
+/// TwoHop computed on the edge list's adjacency.
+std::vector<oid_t> ListTwoHop(const std::vector<std::vector<oid_t>>& adj,
+                              oid_t source) {
+  std::vector<oid_t> result;
+  for (const oid_t h : adj[static_cast<size_t>(source)]) {
+    const auto& next = adj[static_cast<size_t>(h)];
+    result.insert(result.end(), next.begin(), next.end());
+  }
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
 TEST(BackendParityTest, TopologyAgreesAcrossAllBackends) {
   const EdgeList list = ParityGraph();
   const auto backends = BuildBackends(list);
@@ -179,14 +205,13 @@ TEST(BackendParityTest, TopologyAgreesAcrossAllBackends) {
     EXPECT_EQ(b.graph->NumVertices(), list.num_vertices) << b.name;
     EXPECT_EQ(b.graph->NumVerticesOfLabel(0), list.num_vertices) << b.name;
   }
-  const auto reference = OidAdjacency(*backends[0].graph, list.num_vertices);
+  const auto reference = ListAdjacency(list);
   size_t total_edges = 0;
   for (const auto& nbrs : reference) total_edges += nbrs.size();
   EXPECT_EQ(total_edges, list.num_edges());
-  for (size_t i = 1; i < backends.size(); ++i) {
+  for (size_t i = 0; i < backends.size(); ++i) {
     const auto adj = OidAdjacency(*backends[i].graph, list.num_vertices);
-    EXPECT_EQ(adj, reference) << backends[i].name << " vs "
-                              << backends[0].name;
+    EXPECT_EQ(adj, reference) << backends[i].name << " vs the edge list";
   }
   // Degree through the dedicated accessor matches the visited adjacency.
   for (const Backend& b : backends) {
@@ -204,11 +229,11 @@ TEST(BackendParityTest, PageRankIsBitIdenticalAcrossBackends) {
   const auto backends = BuildBackends(list);
   const int kIters = 20;
   const std::vector<double> reference =
-      PageRank(OidAdjacency(*backends[0].graph, list.num_vertices), kIters);
+      PageRank(ListAdjacency(list), kIters);
   double sum = 0.0;
   for (double r : reference) sum += r;
   EXPECT_NEAR(sum, 1.0, 1e-9);  // Ranks stay a distribution.
-  for (size_t i = 1; i < backends.size(); ++i) {
+  for (size_t i = 0; i < backends.size(); ++i) {
     const std::vector<double> ranks =
         PageRank(OidAdjacency(*backends[i].graph, list.num_vertices), kIters);
     ASSERT_EQ(ranks.size(), reference.size());
@@ -223,12 +248,114 @@ TEST(BackendParityTest, PageRankIsBitIdenticalAcrossBackends) {
 TEST(BackendParityTest, TwoHopNeighborhoodsAgreeAcrossBackends) {
   const EdgeList list = ParityGraph();
   const auto backends = BuildBackends(list);
+  const auto adjacency = ListAdjacency(list);
   for (oid_t source : {oid_t{0}, oid_t{13}, oid_t{59}, oid_t{118}}) {
-    const auto reference = TwoHop(*backends[0].graph, source);
-    for (size_t i = 1; i < backends.size(); ++i) {
+    const auto reference = ListTwoHop(adjacency, source);
+    for (size_t i = 0; i < backends.size(); ++i) {
       EXPECT_EQ(TwoHop(*backends[i].graph, source), reference)
           << backends[i].name << " source " << source;
     }
+  }
+}
+
+// ------------------------------------------------ GRIN edge identity
+
+/// (src oid, dst oid, edge id) of every edge as its `dir` adjacency
+/// reports it, sorted.
+std::vector<std::tuple<oid_t, oid_t, eid_t>> EdgesSeenFrom(
+    const grin::GrinGraph& g, oid_t n, Direction dir) {
+  std::vector<std::tuple<oid_t, oid_t, eid_t>> edges;
+  for (oid_t o = 0; o < n; ++o) {
+    grin::ForEachAdj(g, g.FindVertex(0, o).value(), dir, 0,
+                     [&](vid_t nbr, double, eid_t e) {
+                       const oid_t other = g.GetOid(nbr);
+                       edges.emplace_back(dir == Direction::kOut ? o : other,
+                                          dir == Direction::kOut ? other : o,
+                                          e);
+                     });
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+TEST(BackendParityTest, EveryEdgeHasOneIdFromEitherEnd) {
+  const EdgeList list = ParityGraph();
+  for (const Backend& b : BuildBackends(list)) {
+    SCOPED_TRACE(b.name);
+    const auto out = EdgesSeenFrom(*b.graph, list.num_vertices, Direction::kOut);
+    ASSERT_EQ(out.size(), list.num_edges());
+    std::set<eid_t> ids;
+    for (const auto& edge : out) ids.insert(std::get<2>(edge));
+    EXPECT_EQ(ids.size(), out.size()) << "edge ids repeat within the label";
+    if (b.name == "livegraph") continue;  // Out-adjacency only.
+    EXPECT_EQ(EdgesSeenFrom(*b.graph, list.num_vertices, Direction::kIn), out);
+  }
+}
+
+TEST(BackendParityTest, AdvertisedAdjacencyArraysMatchVisitAdj) {
+  const EdgeList list = ParityGraph();
+  std::vector<std::string> array_backends;
+  for (const Backend& b : BuildBackends(list)) {
+    if (!b.graph->RequireTraits(grin::kAdjacentListArray).ok()) continue;
+    SCOPED_TRACE(b.name);
+    array_backends.push_back(b.name);
+    for (const Direction dir : {Direction::kOut, Direction::kIn}) {
+      const auto offsets = b.graph->AdjacencyOffsets(0, dir);
+      const auto nbrs = b.graph->AdjacencyNeighbors(0, dir);
+      ASSERT_EQ(offsets.size(), b.graph->NumVertices() + 1);
+      ASSERT_EQ(nbrs.size(), list.num_edges());
+      for (vid_t v = 0; v < b.graph->NumVertices(); ++v) {
+        std::vector<vid_t> visited;
+        grin::ForEachAdj(*b.graph, v, dir, 0,
+                         [&](vid_t nbr, double, eid_t) {
+                           visited.push_back(nbr);
+                         });
+        EXPECT_EQ(std::vector<vid_t>(nbrs.begin() + offsets[v],
+                                     nbrs.begin() + offsets[v + 1]),
+                  visited)
+            << "vid " << v;
+      }
+    }
+  }
+  EXPECT_EQ(array_backends,
+            (std::vector<std::string>{"simple", "vineyard", "graphar"}));
+}
+
+/// count(c) of `query` through NaiveGraphDB and through Gaia, which must
+/// agree.
+int64_t CountOnBothEngines(const grin::GrinGraph& g, const std::string& query) {
+  SCOPED_TRACE(query);
+  query::NaiveGraphDB naive(&g);
+  auto reference = naive.Run(query::Language::kCypher, query);
+  EXPECT_TRUE(reference.ok()) << reference.status().ToString();
+  query::QueryService service(&g, 2);
+  auto gaia = service.Run(query::Language::kCypher, query,
+                          query::EngineKind::kGaia);
+  EXPECT_TRUE(gaia.ok()) << gaia.status().ToString();
+  if (!reference.ok() || !gaia.ok()) return -1;
+  EXPECT_EQ(query::RowsToStrings(gaia.value()),
+            query::RowsToStrings(reference.value()));
+  return std::get<PropertyValue>(reference.value()[0][0]).AsInt64();
+}
+
+TEST(BackendParityTest, VarLengthPathsCountEachEdgeOnce) {
+  // The 2-cycle 0 -> 1 -> 0. Relationship uniqueness keys on edge ids, so
+  // a backend giving one edge two ids counts extra paths and one giving
+  // two edges one id prunes real ones.
+  EdgeList list;
+  list.num_vertices = 2;
+  list.edges = {{0, 1, 1.0}, {1, 0, 1.0}};
+  for (const Backend& b : BuildBackends(list)) {
+    SCOPED_TRACE(b.name);
+    EXPECT_EQ(CountOnBothEngines(
+                  *b.graph,
+                  "MATCH (a:V {id: 0})-[:E*2..2]->(c:V) RETURN count(c)"),
+              1);
+    if (b.name == "livegraph") continue;  // Out-adjacency only.
+    EXPECT_EQ(CountOnBothEngines(
+                  *b.graph,
+                  "MATCH (a:V {id: 0})-[:E*2..2]-(c:V) RETURN count(c)"),
+              2);
   }
 }
 

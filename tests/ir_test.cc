@@ -27,7 +27,7 @@ class ExprTest : public ::testing::Test {
   void SetUp() override {
     store_ = TinyStore();
     graph_ = store_->GetGrinHandle();
-    row_.push_back(VertexRef{store_->FindVertex(0, 7).value()});
+    row_.push_back(VertexRef{store_->topology().FindVertex(0, 7).value()});
   }
   PropertyValue Eval(const ExprPtr& e,
                      std::vector<PropertyValue> params = {}) {

@@ -42,7 +42,7 @@ TEST_F(SnbTest, GeneratorProducesExpectedShape) {
   EXPECT_GT(stats_->num_posts, 1000u);
   EXPECT_GT(stats_->num_comments, 2000u);
   EXPECT_GE(stats_->num_forums, 20u);
-  EXPECT_EQ(store_->num_vertices(),
+  EXPECT_EQ(store_->topology().num_vertices(),
             stats_->num_persons + stats_->num_posts + stats_->num_comments +
                 stats_->num_forums + stats_->num_tags);
 }

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <set>
 #include <thread>
 
 #include "common/random.h"
+#include "common/varint.h"
 #include "datagen/generators.h"
 #include "storage/gart/gart_store.h"
 #include "storage/graphar/csv.h"
@@ -63,16 +67,16 @@ std::vector<oid_t> CollectNeighborOids(const grin::GrinGraph& g, vid_t v,
 
 TEST(VineyardTest, BuildsAndIndexes) {
   auto store = VineyardStore::Build(EcommerceData()).value();
-  EXPECT_EQ(store->num_vertices(), 4u);
-  EXPECT_EQ(store->num_edges(), 4u);
+  EXPECT_EQ(store->topology().num_vertices(), 4u);
+  EXPECT_EQ(store->topology().num_edges(), 4u);
   const label_t buyer = store->schema().FindVertexLabel("Buyer").value();
   const label_t item = store->schema().FindVertexLabel("Item").value();
-  auto [b0, b1] = store->VertexRange(buyer);
+  auto [b0, b1] = store->topology().VertexRange(buyer);
   EXPECT_EQ(b1 - b0, 2u);
-  EXPECT_EQ(store->VertexLabelOf(b0), buyer);
-  const vid_t v1 = store->FindVertex(buyer, 1).value();
-  EXPECT_EQ(store->GetOid(v1), 1);
-  EXPECT_FALSE(store->FindVertex(item, 1).ok());
+  EXPECT_EQ(store->topology().VertexLabelOf(b0), buyer);
+  const vid_t v1 = store->topology().FindVertex(buyer, 1).value();
+  EXPECT_EQ(store->topology().GetOid(v1), 1);
+  EXPECT_FALSE(store->topology().FindVertex(item, 1).ok());
 }
 
 TEST(VineyardTest, ForwardAndReverseAdjacencyAgree) {
@@ -81,16 +85,16 @@ TEST(VineyardTest, ForwardAndReverseAdjacencyAgree) {
   const label_t buyer = schema.FindVertexLabel("Buyer").value();
   const label_t item = schema.FindVertexLabel("Item").value();
   const label_t buy = schema.FindEdgeLabel("BUY").value();
-  const vid_t v2 = store->FindVertex(buyer, 2).value();
-  const vid_t v3 = store->FindVertex(item, 3).value();
+  const vid_t v2 = store->topology().FindVertex(buyer, 2).value();
+  const vid_t v3 = store->topology().FindVertex(item, 3).value();
 
-  auto out = store->OutNeighbors(v2, buy);
+  auto out = store->topology().OutNeighbors(v2, buy);
   ASSERT_EQ(out.size(), 2u);
-  auto in = store->InNeighbors(v3, buy);
+  auto in = store->topology().InNeighbors(v3, buy);
   ASSERT_EQ(in.size(), 2u);
 
   // Edge properties resolve identically from both directions.
-  auto in_eids = store->InEdgeIds(v3, buy);
+  auto in_eids = store->topology().InEdgeIds(v3, buy);
   std::multiset<int64_t> dates;
   for (eid_t e : in_eids) {
     dates.insert(store->edge_table(buy).Get(e, 0).AsInt64());
@@ -547,8 +551,8 @@ TEST_P(GraphArRoundTrip, PreservesGraphData) {
   auto store = VineyardStore::Build(loaded).value();
   const label_t buyer = store->schema().FindVertexLabel("Buyer").value();
   const label_t buy = store->schema().FindEdgeLabel("BUY").value();
-  const vid_t v2 = store->FindVertex(buyer, 2).value();
-  EXPECT_EQ(store->OutNeighbors(v2, buy).size(), 2u);
+  const vid_t v2 = store->topology().FindVertex(buyer, 2).value();
+  EXPECT_EQ(store->topology().OutNeighbors(v2, buy).size(), 2u);
   const auto& table = store->vertex_table(buyer);
   // Order may differ; both usernames must be present.
   std::multiset<std::string> names{table.Get(0, 0).AsString(),
@@ -654,6 +658,263 @@ TEST(GraphArTest, OpenRejectsGarbage) {
   EXPECT_EQ(graphar::GraphArReader::Open(path).status().code(),
             StatusCode::kIoError);
   EXPECT_FALSE(graphar::GraphArReader::Open("/nonexistent/x.gar").ok());
+}
+
+// ---------------------------------------------- Malformed GraphAr archives
+//
+// Each fixture writes a valid archive, patches one varint and expects the
+// readers to return kIoError: a count read from the archive must be checked
+// against the bytes that back it before it sizes an allocation or indexes
+// another section's chunk table.
+
+constexpr uint64_t kHuge = uint64_t{1} << 62;
+constexpr uint64_t kMaxU64 = ~uint64_t{0};
+
+/// An archive split into its named sections, written back with a fresh
+/// directory, so one section can be patched in place.
+struct Archive {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> sections;
+  /// Directory offset to claim for one section instead of its real one.
+  std::string bad_offset_section;
+  uint64_t bad_offset = 0;
+
+  static Archive Read(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<uint8_t> f((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+    uint64_t dir_offset;
+    std::memcpy(&dir_offset, f.data() + f.size() - 12, sizeof(dir_offset));
+    size_t pos = dir_offset;
+    uint64_t n = 0, len = 0, offset = 0, size = 0;
+    EXPECT_TRUE(GetVarint64(f.data(), f.size(), &pos, &n));
+    Archive archive;
+    for (uint64_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(GetVarint64(f.data(), f.size(), &pos, &len));
+      std::string name(f.begin() + pos, f.begin() + pos + len);
+      pos += len;
+      EXPECT_TRUE(GetVarint64(f.data(), f.size(), &pos, &offset));
+      EXPECT_TRUE(GetVarint64(f.data(), f.size(), &pos, &size));
+      archive.sections.emplace_back(
+          std::move(name), std::vector<uint8_t>(f.begin() + offset,
+                                                f.begin() + offset + size));
+    }
+    return archive;
+  }
+
+  std::vector<uint8_t>& operator[](const std::string& name) {
+    for (auto& [section, bytes] : sections) {
+      if (section == name) return bytes;
+    }
+    ADD_FAILURE() << "no section " << name;
+    return sections.front().second;
+  }
+
+  void Write(const std::string& path) const {
+    std::vector<uint8_t> f = {'G', 'A', 'R', '1'};
+    std::vector<uint8_t> dir;
+    PutVarint64(&dir, sections.size());
+    for (const auto& [name, bytes] : sections) {
+      PutVarint64(&dir, name.size());
+      dir.insert(dir.end(), name.begin(), name.end());
+      PutVarint64(&dir, name == bad_offset_section ? bad_offset : f.size());
+      PutVarint64(&dir, bytes.size());
+      f.insert(f.end(), bytes.begin(), bytes.end());
+    }
+    const uint64_t dir_offset = f.size();
+    f.insert(f.end(), dir.begin(), dir.end());
+    const auto* p = reinterpret_cast<const uint8_t*>(&dir_offset);
+    f.insert(f.end(), p, p + sizeof(dir_offset));
+    f.insert(f.end(), {'G', 'A', 'R', 'F'});
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(f.data()),
+              static_cast<std::streamsize>(f.size()));
+  }
+};
+
+/// Rewrites a column section (varint total rows, varint chunk count, then
+/// per chunk varint rows, varint bytes, payload) with header field `field`
+/// set to `value`: 0 = total rows, 1 = chunk count, 2 + 2c = chunk c's row
+/// count, 3 + 2c = its byte count. `payload_edit`, if set, rewrites chunk
+/// 0's payload first; its byte count follows.
+std::vector<uint8_t> PatchSection(
+    const std::vector<uint8_t>& section, size_t field, uint64_t value,
+    const std::function<void(std::vector<uint8_t>*)>& payload_edit = {}) {
+  std::vector<uint8_t> out;
+  size_t pos = 0;
+  size_t next_field = 0;
+  auto copy = [&](uint64_t v) {
+    PutVarint64(&out, next_field++ == field ? value : v);
+  };
+  uint64_t total = 0, nchunks = 0, nrows = 0, nbytes = 0;
+  EXPECT_TRUE(GetVarint64(section.data(), section.size(), &pos, &total));
+  EXPECT_TRUE(GetVarint64(section.data(), section.size(), &pos, &nchunks));
+  copy(total);
+  copy(nchunks);
+  for (uint64_t c = 0; c < nchunks; ++c) {
+    EXPECT_TRUE(GetVarint64(section.data(), section.size(), &pos, &nrows));
+    EXPECT_TRUE(GetVarint64(section.data(), section.size(), &pos, &nbytes));
+    std::vector<uint8_t> payload(section.begin() + pos,
+                                 section.begin() + pos + nbytes);
+    pos += nbytes;
+    if (c == 0 && payload_edit) payload_edit(&payload);
+    copy(nrows);
+    copy(payload.size());
+    out.insert(out.end(), payload.begin(), payload.end());
+  }
+  return out;
+}
+
+/// Replaces the varint starting at `*payload`[pos] with `value`.
+void PatchVarintAt(std::vector<uint8_t>* payload, size_t pos, uint64_t value) {
+  size_t end = pos;
+  uint64_t old = 0;
+  ASSERT_TRUE(GetVarint64(payload->data(), payload->size(), &end, &old));
+  std::vector<uint8_t> encoded;
+  PutVarint64(&encoded, value);
+  payload->erase(payload->begin() + pos, payload->begin() + end);
+  payload->insert(payload->begin() + pos, encoded.begin(), encoded.end());
+}
+
+/// Writes `data` as an archive, patches it with `patch` and reopens it.
+std::unique_ptr<graphar::GraphArReader> Malformed(
+    const PropertyGraphData& data, size_t chunk_size, const std::string& name,
+    const std::function<void(Archive*)>& patch) {
+  const std::string path = testing::TempDir() + "malformed_" + name + ".gar";
+  EXPECT_TRUE(graphar::WriteGraphAr(path, data, chunk_size).ok());
+  Archive archive = Archive::Read(path);
+  patch(&archive);
+  archive.Write(path);
+  auto reader = graphar::GraphArReader::Open(path);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  return reader.ok() ? std::move(reader).value() : nullptr;
+}
+
+TEST(MalformedGraphArTest, ValidArchiveRoundTripsThroughThePatcher) {
+  // The patcher itself changes nothing when it rewrites a field as is.
+  auto reader = Malformed(EcommerceData(), 2, "identity", [](Archive* a) {
+    (*a)["v/Buyer/oid"] = PatchSection((*a)["v/Buyer/oid"], 0, 2);
+  });
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(reader->ReadAll().value().total_edges(), 4u);
+  EXPECT_TRUE(reader->OpenDirect().ok());
+}
+
+TEST(MalformedGraphArTest, OpenRejectsADirectoryExtentThatWraps) {
+  const std::string path = testing::TempDir() + "malformed_extent.gar";
+  ASSERT_TRUE(graphar::WriteGraphAr(path, EcommerceData()).ok());
+  Archive archive = Archive::Read(path);
+  // offset + length wraps to a small number, and the section would start
+  // eight bytes before the file.
+  archive.bad_offset_section = "schema";
+  archive.bad_offset = kMaxU64 - 7;
+  archive.Write(path);
+  EXPECT_EQ(graphar::GraphArReader::Open(path).status().code(),
+            StatusCode::kIoError);
+}
+
+TEST(MalformedGraphArTest, ChunkTableBeyondTheSectionIsAnIoError) {
+  // A chunk count no section could hold, then a chunk byte count that
+  // wraps pos + nbytes back inside the section.
+  for (const auto& [field, value] :
+       {std::pair<size_t, uint64_t>{1, kHuge}, {3, kMaxU64}}) {
+    SCOPED_TRACE(field);
+    auto reader = Malformed(EcommerceData(), 1, "chunk_table", [&](Archive* a) {
+      (*a)["v/Buyer/oid"] = PatchSection((*a)["v/Buyer/oid"], field, value);
+    });
+    ASSERT_NE(reader, nullptr);
+    EXPECT_EQ(reader->ReadAll().status().code(), StatusCode::kIoError);
+    EXPECT_EQ(reader->OpenDirect().status().code(), StatusCode::kIoError);
+  }
+}
+
+TEST(MalformedGraphArTest, ScanRejectsAColumnChunkedUnlikeItsOids) {
+  // One Buyer per chunk; the credits column claims only its first chunk.
+  auto reader = Malformed(EcommerceData(), 1, "scan", [](Archive* a) {
+    (*a)["v/Buyer/p1"] = PatchSection((*a)["v/Buyer/p1"], 1, 1);
+  });
+  ASSERT_NE(reader, nullptr);
+  const label_t buyer = reader->schema().FindVertexLabel("Buyer").value();
+  EXPECT_EQ(reader
+                ->ScanVertices(buyer,
+                               [](oid_t, const std::vector<PropertyValue>&) {
+                                 return true;
+                               })
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(reader->ReadAll().status().code(), StatusCode::kIoError);
+}
+
+TEST(MalformedGraphArTest, FetchRejectsAChunkIndexLongerThanItsColumns) {
+  EdgeList list = datagen::GenerateUniform(100, 500, 5);
+  PropertyGraphData data = MakeSimpleGraphData(list, /*with_weights=*/false);
+  // The src column claims one chunk while the index still lists eight.
+  auto reader = Malformed(data, 64, "fetch", [](Archive* a) {
+    (*a)["e/E/src"] = PatchSection((*a)["e/E/src"], 1, 1);
+  });
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(reader->FetchNeighbors(0, 99).status().code(),
+            StatusCode::kIoError);
+}
+
+TEST(MalformedGraphArTest, DoubleChunkRowCountThatWrapsIsAnIoError) {
+  // (2^61 + 1) * 8 wraps to 8, which one stored price covers.
+  auto reader = Malformed(EcommerceData(), 1, "double", [](Archive* a) {
+    (*a)["v/Item/p0"] =
+        PatchSection((*a)["v/Item/p0"], 2, (uint64_t{1} << 61) + 1);
+  });
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(reader->ReadAll().status().code(), StatusCode::kIoError);
+}
+
+TEST(MalformedGraphArTest, StringLengthThatWrapsIsAnIoError) {
+  auto reader = Malformed(EcommerceData(), 2, "string", [](Archive* a) {
+    // The first username's length varint: pos + len wraps.
+    (*a)["v/Buyer/p0"] = PatchSection(
+        (*a)["v/Buyer/p0"], 0, 2, [](std::vector<uint8_t>* payload) {
+          PatchVarintAt(payload, 0, kMaxU64);
+        });
+  });
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(reader->ReadAll().status().code(), StatusCode::kIoError);
+}
+
+/// One label whose oids 0..49, 100..149 encode as a four-run RLE chunk.
+PropertyGraphData TwoRunOids() {
+  PropertyGraphData data;
+  const label_t v = data.schema.AddVertexLabel("V", {}).value();
+  for (oid_t i = 0; i < 50; ++i) data.AddVertex(v, i, {});
+  for (oid_t i = 100; i < 150; ++i) data.AddVertex(v, i, {});
+  return data;
+}
+
+TEST(MalformedGraphArTest, Int64RowCountIsCheckedBeforeItSizesAnything) {
+  auto reader = Malformed(TwoRunOids(), 1024, "int64_rows", [](Archive* a) {
+    (*a)["v/V/oid"] = PatchSection((*a)["v/V/oid"], 2, kHuge);
+  });
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(reader->ReadAll().status().code(), StatusCode::kIoError);
+  EXPECT_EQ(reader->OpenDirect().status().code(), StatusCode::kIoError);
+}
+
+TEST(MalformedGraphArTest, RleRunThatWrapsIsAnIoError) {
+  auto reader = Malformed(TwoRunOids(), 1024, "rle_run", [](Archive* a) {
+    (*a)["v/V/oid"] = PatchSection(
+        (*a)["v/V/oid"], 0, 100, [](std::vector<uint8_t>* payload) {
+          ASSERT_EQ((*payload)[0], 1);  // RLE: mode, then (run, delta)s.
+          size_t pos = 1;
+          uint64_t run = 0;
+          int64_t delta = 0;
+          ASSERT_TRUE(GetVarint64(payload->data(), payload->size(), &pos,
+                                  &run));
+          ASSERT_TRUE(GetVarintSigned(payload->data(), payload->size(), &pos,
+                                      &delta));
+          // produced (1) + run wraps to 0 unless checked as run > 100 - 1.
+          PatchVarintAt(payload, pos, kMaxU64);
+        });
+  });
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(reader->ReadAll().status().code(), StatusCode::kIoError);
+  EXPECT_EQ(reader->OpenDirect().status().code(), StatusCode::kIoError);
 }
 
 // ------------------------------------------------------------------ CSV
