@@ -1,5 +1,6 @@
 #include "grin/grin.h"
 
+#include <numeric>
 #include <vector>
 
 #include "common/metric_names.h"
@@ -24,17 +25,6 @@ bool MatchesCondition(const VertexCondition& condition,
       return value.Compare(condition.value) >= 0;
   }
   return false;
-}
-
-bool VertexFilter::Matches(const GrinGraph& graph, vid_t v) const {
-  for (const VertexCondition& condition : conditions) {
-    const PropertyValue value = condition.column == VertexCondition::kNoColumn
-                                    ? PropertyValue()
-                                    : graph.GetVertexProperty(v,
-                                                              condition.column);
-    if (!MatchesCondition(condition, value)) return false;
-  }
-  return true;
 }
 
 GrinGraph::~GrinGraph() = default;
@@ -104,40 +94,102 @@ void GrinGraph::GetVerticesProperties(std::span<const vid_t> vids, size_t col,
 
 namespace {
 
-/// Shared by both default filtered entry points: evaluates the filter via
-/// the boxed accessor and gathers the projection columns into a reused
-/// scratch buffer.
-struct FilteredForward {
-  const GrinGraph* graph;
-  const VertexFilter* filter;
-  std::span<const size_t> project_cols;
-  std::vector<PropertyValue> props;
+/// Candidates a filtered visit buffers before it evaluates them: enough to
+/// amortize each batched column read, few enough to stay in cache.
+constexpr size_t kFilterChunk = 1024;
 
-  bool Survives(vid_t v) {
-    if (!filter->Matches(*graph, v)) {
-      FLEX_COUNTER_INC(metrics::kFusedRowsPrunedTotal);
-      return false;
-    }
-    props.resize(project_cols.size());
-    for (size_t i = 0; i < project_cols.size(); ++i) {
-      props[i] = graph->GetVertexProperty(v, project_cols[i]);
-    }
-    return true;
+/// The one evaluator of pushed filters and projections. Candidates, each a
+/// vid plus a tag for the visitor (an expansion's source index), are
+/// buffered up to kFilterChunk at a time. Each condition then reads its
+/// column for the candidates still alive with one GetVerticesProperties
+/// call, and each projection column is read for the survivors the same
+/// way; survivors reach `deliver(v, tag, props)` in candidate order.
+template <typename Deliver>
+class FilterPass {
+ public:
+  FilterPass(const GrinGraph& graph, const VertexFilter& filter,
+             std::span<const size_t> project_cols, Deliver deliver)
+      : graph_(graph),
+        filter_(filter),
+        project_cols_(project_cols),
+        deliver_(deliver) {}
+  FilterPass(const FilterPass&) = delete;
+  FilterPass& operator=(const FilterPass&) = delete;
+
+  /// Takes one candidate; false once the visitor has stopped.
+  bool Add(vid_t v, size_t tag) {
+    vids_.push_back(v);
+    tags_.push_back(tag);
+    return vids_.size() < kFilterChunk || Flush();
   }
-};
 
-struct FilteredScanForward {
-  FilteredForward shared;
-  FilteredVertexVisitor visitor;
-  void* visitor_ctx;
-  bool stopped = false;
-};
+  /// Evaluates what is still buffered; false if the visitor stopped.
+  bool Finish() { return live_ && Flush(); }
 
-struct FilteredAdjForward {
-  FilteredForward shared;
-  label_t dst_label;
-  FilteredNeighborVisitor visitor;
-  void* ctx;
+ private:
+  bool Flush() {
+    const size_t n = vids_.size();
+    // alive_[k] is the buffer position of the k-th candidate still alive,
+    // whose vid has been compacted to vids_[k].
+    alive_.resize(n);
+    std::iota(alive_.begin(), alive_.end(), size_t{0});
+    for (const VertexCondition& condition : filter_.conditions) {
+      if (alive_.empty()) break;
+      if (condition.column == VertexCondition::kNoColumn) {
+        // An unresolved property compares as the empty value, unread.
+        if (!MatchesCondition(condition, PropertyValue())) alive_.clear();
+        continue;
+      }
+      values_.resize(alive_.size());
+      graph_.GetVerticesProperties({vids_.data(), alive_.size()},
+                                   condition.column, values_.data());
+      size_t kept = 0;
+      for (size_t k = 0; k < alive_.size(); ++k) {
+        if (!MatchesCondition(condition, values_[k])) continue;
+        alive_[kept] = alive_[k];
+        vids_[kept] = vids_[k];
+        ++kept;
+      }
+      alive_.resize(kept);
+    }
+    const size_t survivors = alive_.size();
+    columns_.resize(project_cols_.size());
+    for (size_t p = 0; p < project_cols_.size(); ++p) {
+      columns_[p].resize(survivors);
+      graph_.GetVerticesProperties({vids_.data(), survivors},
+                                   project_cols_[p], columns_[p].data());
+    }
+    props_.resize(project_cols_.size());
+    size_t delivered = 0;
+    while (live_ && delivered < survivors) {
+      for (size_t p = 0; p < props_.size(); ++p) {
+        props_[p] = std::move(columns_[p][delivered]);
+      }
+      live_ = deliver_(vids_[delivered], tags_[alive_[delivered]], props_);
+      ++delivered;
+    }
+    // Counted as a row-at-a-time visit would: the candidates rejected
+    // ahead of the last one delivered.
+    const size_t seen = live_ ? n : alive_[delivered - 1] + 1;
+    if (seen > delivered) {
+      FLEX_COUNTER_ADD(metrics::kFusedRowsPrunedTotal, seen - delivered);
+    }
+    vids_.clear();
+    tags_.clear();
+    return live_;
+  }
+
+  const GrinGraph& graph_;
+  const VertexFilter& filter_;
+  std::span<const size_t> project_cols_;
+  Deliver deliver_;
+  bool live_ = true;
+  std::vector<vid_t> vids_;
+  std::vector<size_t> tags_;
+  std::vector<size_t> alive_;
+  std::vector<PropertyValue> values_;
+  std::vector<std::vector<PropertyValue>> columns_;
+  std::vector<PropertyValue> props_;
 };
 
 }  // namespace
@@ -147,18 +199,17 @@ bool GrinGraph::VisitVerticesFiltered(label_t label, size_t begin,
                                       std::span<const size_t> project_cols,
                                       FilteredVertexVisitor visitor,
                                       void* visitor_ctx) const {
-  FilteredScanForward forward{{this, &filter, project_cols, {}},
-                              visitor, visitor_ctx};
+  FilterPass pass(*this, filter, project_cols,
+                  [&](vid_t v, size_t, std::span<const PropertyValue> props) {
+                    return visitor(visitor_ctx, v, props);
+                  });
   VisitVertices(
       label, begin, end,
-      [](void* raw, vid_t v) -> bool {
-        auto* f = static_cast<FilteredScanForward*>(raw);
-        if (!f->shared.Survives(v)) return true;
-        f->stopped = !f->visitor(f->visitor_ctx, v, f->shared.props);
-        return !f->stopped;
+      [](void* raw, vid_t v) {
+        return static_cast<decltype(pass)*>(raw)->Add(v, 0);
       },
-      &forward);
-  return !forward.stopped;
+      &pass);
+  return pass.Finish();
 }
 
 bool GrinGraph::GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
@@ -167,26 +218,32 @@ bool GrinGraph::GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
                                   std::span<const size_t> project_cols,
                                   FilteredNeighborVisitor visitor,
                                   void* ctx) const {
-  FilteredAdjForward forward{{this, &filter, project_cols, {}},
-                             dst_label, visitor, ctx};
-  return GetNeighborsBatch(
+  FilterPass pass(*this, filter, project_cols,
+                  [&](vid_t nbr, size_t src_index,
+                      std::span<const PropertyValue> props) {
+                    return visitor(ctx, src_index, nbr, props);
+                  });
+  using Pass = decltype(pass);
+  struct Fwd {
+    const GrinGraph* graph;
+    label_t dst_label;
+    Pass* pass;
+  } fwd{this, dst_label, &pass};
+  GetNeighborsBatch(
       vids, dir, edge_label,
-      [](void* raw, size_t src_index, Direction, const AdjChunk& chunk)
-          -> bool {
-        auto* f = static_cast<FilteredAdjForward*>(raw);
+      [](void* raw, size_t src_index, Direction, const AdjChunk& chunk) {
+        auto* f = static_cast<Fwd*>(raw);
         for (const vid_t nbr : chunk.neighbors) {
           if (f->dst_label != kInvalidLabel &&
-              f->shared.graph->VertexLabelOf(nbr) != f->dst_label) {
+              f->graph->VertexLabelOf(nbr) != f->dst_label) {
             continue;
           }
-          if (!f->shared.Survives(nbr)) continue;
-          if (!f->visitor(f->ctx, src_index, nbr, f->shared.props)) {
-            return false;
-          }
+          if (!f->pass->Add(nbr, src_index)) return false;
         }
         return true;
       },
-      &forward);
+      &fwd);
+  return pass.Finish();
 }
 
 std::span<const int64_t> GrinGraph::VertexInt64Column(label_t label,

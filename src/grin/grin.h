@@ -51,7 +51,9 @@ enum Trait : uint32_t {
   kLabelIndex = 1u << 8,
 
   // --- predicate ---
-  /// Scans accept a pushed-down predicate evaluated inside the storage.
+  /// The backend amortizes GetVerticesProperties across a span, so a
+  /// filter pushed into a scan or expansion reads its columns cheaper
+  /// than row by row. The filtered visits work on every backend.
   kPredicatePushdown = 1u << 9,
 
   // --- common ---
@@ -93,8 +95,6 @@ using AdjVisitor = bool (*)(void* ctx, const AdjChunk& chunk);
 using BatchAdjVisitor = bool (*)(void* ctx, size_t src_index, Direction dir,
                                  const AdjChunk& chunk);
 
-class GrinGraph;
-
 /// One pushed-down comparison against a vertex property column, with the
 /// interpreter's exact expression semantics: kEq/kNe via
 /// PropertyValue::operator==, the ordered comparisons via
@@ -109,21 +109,18 @@ struct VertexCondition {
   PropertyValue value;
 };
 
-/// One condition against an already-fetched property value (the shared
-/// comparison kernel for native scan loops).
+/// One condition against an already-fetched property value (the
+/// comparison kernel of the filtered visits).
 bool MatchesCondition(const VertexCondition& condition,
                       const PropertyValue& value);
 
-/// A conjunction of pushed-down conditions. Conditions are pure, so
-/// backends may evaluate them in any order (and stop at the first miss)
-/// without changing the survivor set.
+/// A conjunction of pushed-down conditions. Conditions are pure, so they
+/// may be evaluated in any order, each over the candidates the earlier
+/// ones kept, without changing the survivor set.
 struct VertexFilter {
   std::vector<VertexCondition> conditions;
 
   bool empty() const { return conditions.empty(); }
-  /// Reference evaluation through the boxed property accessor; native
-  /// scan loops inline the same comparisons against their raw columns.
-  bool Matches(const GrinGraph& graph, vid_t v) const;
 };
 
 /// Visitor for filtered+projected vertex scans: called once per vertex
@@ -174,20 +171,22 @@ class GrinGraph {
                              bool (*visitor)(void*, vid_t),
                              void* visitor_ctx) const = 0;
 
-  /// Filtered + projected scan (the kPredicatePushdown trait's scan entry
-  /// point): enumerates the same window as VisitVertices, in the same
-  /// order, evaluating `filter` and invoking `visitor` for survivors with
-  /// the values of `project_cols` gathered. Backends advertising the
-  /// trait override this to evaluate the filter inside their scan loop
-  /// against raw columns (one lock per window, no boxed dispatch per
-  /// vertex); the default wraps VisitVertices + GetVertexProperty and is
-  /// correct for every backend, so engines call this unconditionally for
-  /// fused scans. Returns false if the visitor stopped early.
-  virtual bool VisitVerticesFiltered(label_t label, size_t begin, size_t end,
-                                     const VertexFilter& filter,
-                                     std::span<const size_t> project_cols,
-                                     FilteredVertexVisitor visitor,
-                                     void* visitor_ctx) const;
+  /// Filtered + projected scan (the scan entry point of pushdown):
+  /// enumerates the same window as VisitVertices, in the same order, and
+  /// invokes `visitor` for each vertex that passes `filter`, with the
+  /// values of `project_cols` gathered. One implementation serves every
+  /// backend: candidates are evaluated a chunk at a time, each condition
+  /// reading its column for the candidates still alive with one
+  /// GetVerticesProperties call and each projection column read for the
+  /// survivors the same way, so a backend tunes pushdown only through
+  /// that batched read. flex_fused_rows_pruned_total grows by the
+  /// candidates rejected ahead of the last one delivered. Returns false
+  /// if the visitor stopped early.
+  bool VisitVerticesFiltered(label_t label, size_t begin, size_t end,
+                             const VertexFilter& filter,
+                             std::span<const size_t> project_cols,
+                             FilteredVertexVisitor visitor,
+                             void* visitor_ctx) const;
 
   /// Streams the adjacency of `v` under `edge_label` in `dir`.
   /// Returns false if the visitor stopped early.
@@ -220,20 +219,18 @@ class GrinGraph {
                                  label_t edge_label, BatchAdjVisitor visitor,
                                  void* ctx) const;
 
-  /// Filtered + projected batched expansion (the kPredicatePushdown
-  /// trait's adjacency entry point): like GetNeighborsBatch — same
-  /// per-source kOut-then-kIn chunk order — but each neighbor is checked
-  /// against `dst_label` (kInvalidLabel = any) and `filter` inside the
-  /// visit, and survivors are delivered one at a time with `project_cols`
-  /// gathered. The default wraps the unfiltered batch visit and is
-  /// correct everywhere; trait backends override it to evaluate the
-  /// filter against raw columns under one lock per batch.
-  virtual bool GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
-                                 label_t edge_label, label_t dst_label,
-                                 const VertexFilter& filter,
-                                 std::span<const size_t> project_cols,
-                                 FilteredNeighborVisitor visitor,
-                                 void* ctx) const;
+  /// Filtered + projected batched expansion (the adjacency entry point
+  /// of pushdown): like GetNeighborsBatch — same per-source
+  /// kOut-then-kIn order — but each neighbor is checked against
+  /// `dst_label` (kInvalidLabel = any) and then `filter`, and survivors
+  /// are delivered one at a time with `project_cols` gathered. The filter
+  /// and projection run exactly as in VisitVerticesFiltered, over the
+  /// neighbors of the right label.
+  bool GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
+                         label_t edge_label, label_t dst_label,
+                         const VertexFilter& filter,
+                         std::span<const size_t> project_cols,
+                         FilteredNeighborVisitor visitor, void* ctx) const;
 
   // ------------------------------------------------------------ property
   /// Boxed property access (row-wise traits).
@@ -243,9 +240,10 @@ class GrinGraph {
 
   /// Batched boxed access: out[i] = GetVertexProperty(vids[i], col). The
   /// default loops the scalar accessor so every backend keeps working;
-  /// chunked stores override it to amortize chunk location/decode across
-  /// the span. Callers get the most out of overrides by passing
-  /// contiguous same-label runs.
+  /// chunked and locked stores override it to amortize chunk decode or
+  /// lock acquisition across the span. It is the one property hook of
+  /// the filtered visits. Callers get the most out of overrides by
+  /// passing contiguous same-label runs.
   virtual void GetVerticesProperties(std::span<const vid_t> vids, size_t col,
                                      PropertyValue* out) const;
 
@@ -259,10 +257,6 @@ class GrinGraph {
   // --------------------------------------------------------------- index
   virtual Result<vid_t> FindVertex(label_t label, oid_t oid) const = 0;
   virtual oid_t GetOid(vid_t v) const = 0;
-
-  // ----------------------------------------------------------- partition
-  virtual partition_t NumPartitions() const { return 1; }
-  virtual partition_t PartitionOf(vid_t v) const { return 0; }
 
   // -------------------------------------------------------------- common
   /// MVCC snapshot version; 0 for immutable stores.

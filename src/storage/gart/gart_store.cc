@@ -520,79 +520,6 @@ class GartSnapshot final : public grin::GrinGraph {
     }
   }
 
-  bool VisitVerticesFiltered(label_t label, size_t begin, size_t end,
-                             const grin::VertexFilter& filter,
-                             std::span<const size_t> project_cols,
-                             grin::FilteredVertexVisitor visitor,
-                             void* visitor_ctx) const override {
-    // Native pushdown scan: one shared-lock acquisition covers predicate
-    // and projection property resolution for the whole window (the boxed
-    // fallback would re-acquire mu_ for every property read).
-    FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    std::shared_lock<std::shared_mutex> lock(store_->mu_);
-    const auto& vids = store_->label_vertices_[label];
-    end = std::min(end, VisibleCount(label));
-    std::vector<PropertyValue> props(project_cols.size());
-    for (size_t i = begin; i < end; ++i) {
-      const vid_t v = vids[i];
-      if (!MatchesFilterLocked(filter, v)) {
-        FLEX_COUNTER_INC(metrics::kFusedRowsPrunedTotal);
-        continue;
-      }
-      for (size_t p = 0; p < project_cols.size(); ++p) {
-        props[p] = ResolveProperty(v, project_cols[p]);
-      }
-      if (!visitor(visitor_ctx, v, props)) return false;
-    }
-    return true;
-  }
-
-  using grin::GrinGraph::GetNeighborsBatch;
-
-  bool GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
-                         label_t edge_label, label_t dst_label,
-                         const grin::VertexFilter& filter,
-                         std::span<const size_t> project_cols,
-                         grin::FilteredNeighborVisitor visitor,
-                         void* ctx) const override {
-    // One shared-lock acquisition serves the filter and projection for
-    // every neighbor in the batch; the topology scan underneath is
-    // lock-free, so holding mu_ across it cannot deadlock.
-    std::shared_lock<std::shared_mutex> lock(store_->mu_);
-    struct Fwd {
-      const GartSnapshot* self;
-      const grin::VertexFilter* filter;
-      std::span<const size_t> project_cols;
-      label_t dst_label;
-      grin::FilteredNeighborVisitor visitor;
-      void* ctx;
-      std::vector<PropertyValue> props;
-    } fwd{this, &filter, project_cols, dst_label, visitor, ctx, {}};
-    fwd.props.resize(project_cols.size());
-    return grin::GrinGraph::GetNeighborsBatch(
-        vids, dir, edge_label,
-        [](void* raw, size_t src_index, Direction,
-           const grin::AdjChunk& chunk) -> bool {
-          auto* f = static_cast<Fwd*>(raw);
-          for (const vid_t nbr : chunk.neighbors) {
-            if (f->dst_label != kInvalidLabel &&
-                f->self->VertexLabelOf(nbr) != f->dst_label) {
-              continue;
-            }
-            if (!f->self->MatchesFilterLocked(*f->filter, nbr)) {
-              FLEX_COUNTER_INC(metrics::kFusedRowsPrunedTotal);
-              continue;
-            }
-            for (size_t p = 0; p < f->project_cols.size(); ++p) {
-              f->props[p] = f->self->ResolveProperty(nbr, f->project_cols[p]);
-            }
-            if (!f->visitor(f->ctx, src_index, nbr, f->props)) return false;
-          }
-          return true;
-        },
-        &fwd);
-  }
-
   bool VisitAdj(vid_t v, Direction dir, label_t edge_label,
                 grin::AdjVisitor visitor, void* ctx) const override {
     FLEX_COUNTER_INC(metrics::kStorageAdjVisitsTotal);
@@ -623,7 +550,8 @@ class GartSnapshot final : public grin::GrinGraph {
 
   /// Batched override: the scalar accessor pays a shared_lock acquisition
   /// per vertex; one acquisition amortized over the span is the dominant
-  /// saving for columnar SELECT / PROJECT over GART.
+  /// saving for columnar SELECT / PROJECT and for pushed filters over
+  /// GART (kPredicatePushdown).
   void GetVerticesProperties(std::span<const vid_t> vids, size_t col,
                              PropertyValue* out) const override {
     std::shared_lock<std::shared_mutex> lock(store_->mu_);
@@ -657,19 +585,6 @@ class GartSnapshot final : public grin::GrinGraph {
   version_t SnapshotVersion() const override { return version_; }
 
  private:
-  /// Evaluates a pushed-down filter against (v)'s resolved properties.
-  /// Caller holds store_->mu_ (shared).
-  bool MatchesFilterLocked(const grin::VertexFilter& filter, vid_t v) const {
-    for (const grin::VertexCondition& c : filter.conditions) {
-      const PropertyValue value =
-          c.column == grin::VertexCondition::kNoColumn
-              ? PropertyValue()
-              : ResolveProperty(v, c.column);
-      if (!grin::MatchesCondition(c, value)) return false;
-    }
-    return true;
-  }
-
   /// Newest committed-at-version_ override for (v, col) wins; the base
   /// table row is the load-time value. Caller holds store_->mu_ (shared).
   PropertyValue ResolveProperty(vid_t v, size_t col) const {

@@ -4,10 +4,8 @@
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <unordered_map>
 
-#include "common/logging.h"
-#include "common/metric_names.h"
-#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/varint.h"
 #include "storage/csr_topology.h"
@@ -254,10 +252,13 @@ Status WriteGraphAr(const std::string& path, const PropertyGraphData& data,
   add_section("schema", BuildSchemaSection(data.schema));
 
   // ---- Vertex sections.
+  static const PropertyGraphData::VertexBatch kEmptyV;
+  auto vertices = [&](label_t label) -> const auto& {
+    return label < data.vertices.size() ? data.vertices[label] : kEmptyV;
+  };
   for (size_t l = 0; l < data.schema.vertex_label_num(); ++l) {
     const auto& def = data.schema.vertex_label(static_cast<label_t>(l));
-    static const PropertyGraphData::VertexBatch kEmptyV;
-    const auto& batch = l < data.vertices.size() ? data.vertices[l] : kEmptyV;
+    const auto& batch = vertices(static_cast<label_t>(l));
     const std::string base = "v/" + def.name + "/";
     add_section(base + "oid", BuildInt64Section(batch.oids, chunk_size));
     FLEX_RETURN_NOT_OK(add_columns(
@@ -265,19 +266,28 @@ Status WriteGraphAr(const std::string& path, const PropertyGraphData& data,
         [&](size_t i) -> const auto& { return batch.rows[i]; }));
   }
 
-  // ---- Edge sections (sorted by (src, dst) with a per-chunk src index).
+  // ---- Edge sections, in the direct view's forward edge order: by the
+  // source's position in its label's vertex batch (vids follow it), then
+  // by dst oid, so an edge's id is its row. A source missing from the
+  // batch sorts last. The index holds each chunk's [min_src, max_src].
   for (size_t l = 0; l < data.schema.edge_label_num(); ++l) {
     const auto& def = data.schema.edge_label(static_cast<label_t>(l));
     static const PropertyGraphData::EdgeBatch kEmptyE;
     const auto& batch = l < data.edges.size() ? data.edges[l] : kEmptyE;
     const std::string base = "e/" + def.name + "/";
     const size_t m = batch.src_oids.size();
+    const auto& sources = vertices(def.src_label).oids;
+    std::unordered_map<oid_t, size_t> position;
+    for (size_t i = 0; i < sources.size(); ++i) position.emplace(sources[i], i);
+    std::vector<size_t> rank(m, sources.size());
+    for (size_t i = 0; i < m; ++i) {
+      auto it = position.find(batch.src_oids[i]);
+      if (it != position.end()) rank[i] = it->second;
+    }
     std::vector<size_t> order(m);
     std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (batch.src_oids[a] != batch.src_oids[b]) {
-        return batch.src_oids[a] < batch.src_oids[b];
-      }
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (rank[a] != rank[b]) return rank[a] < rank[b];
       return batch.dst_oids[a] < batch.dst_oids[b];
     });
     std::vector<int64_t> src(m), dst(m);
@@ -293,15 +303,14 @@ Status WriteGraphAr(const std::string& path, const PropertyGraphData& data,
           return batch.rows[order[i]];
         }));
 
-    // Chunk index: [min_src, max_src] per chunk.
     std::vector<uint8_t> idx;
     const size_t nchunks = (m + chunk_size - 1) / chunk_size;
     PutVarint64(&idx, nchunks);
-    for (size_t c = 0; c < nchunks; ++c) {
-      const size_t begin = c * chunk_size;
-      const size_t end = std::min(m, begin + chunk_size);
-      PutVarintSigned(&idx, src[begin]);
-      PutVarintSigned(&idx, src[end - 1]);
+    for (size_t begin = 0; begin < m; begin += chunk_size) {
+      const auto [lo, hi] = std::minmax_element(
+          src.begin() + begin, src.begin() + std::min(m, begin + chunk_size));
+      PutVarintSigned(&idx, *lo);
+      PutVarintSigned(&idx, *hi);
     }
     add_section(base + "idx", std::move(idx));
   }
@@ -552,74 +561,6 @@ class GraphArDirectGraph final : public storage::CsrGrinGraph {
 
   const GraphSchema& schema() const override { return reader_->schema(); }
 
-  bool VisitVerticesFiltered(label_t label, size_t begin, size_t end,
-                             const grin::VertexFilter& filter,
-                             std::span<const size_t> project_cols,
-                             grin::FilteredVertexVisitor visitor,
-                             void* visitor_ctx) const override {
-    // Native pushdown scan: the section lookup and chunk-table parse
-    // happen once per referenced column for the whole window, and each
-    // column's one-chunk decode cache rides the sequential row order.
-    // The boxed fallback (GetVertexProperty per vertex) rebuilds the
-    // section name and re-parses the chunk table on every access.
-    FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    const auto& def = reader_->schema().vertex_label(label);
-
-    // One open column = parsed chunk table + its decode cursor; a column
-    // that cannot be opened has no chunks, so every row reads as empty.
-    struct ScanColumn {
-      PropertyType type{};
-      ParsedSection parsed;
-      ChunkCursor cursor;
-
-      PropertyValue Get(size_t row) { return cursor.Get(parsed, type, row); }
-    };
-    auto open_column = [&](size_t col) {
-      ScanColumn sc;
-      if (col >= def.properties.size()) return sc;
-      sc.type = def.properties[col].type;
-      auto parsed =
-          reader_->ParseSection("v/" + def.name + "/p" + std::to_string(col));
-      if (parsed.ok()) sc.parsed = std::move(parsed).value();
-      return sc;
-    };
-    std::vector<ScanColumn> cond_cols;
-    cond_cols.reserve(filter.conditions.size());
-    for (const grin::VertexCondition& c : filter.conditions) {
-      cond_cols.push_back(c.column == grin::VertexCondition::kNoColumn
-                              ? ScanColumn{}
-                              : open_column(c.column));
-    }
-    std::vector<ScanColumn> proj_cols;
-    proj_cols.reserve(project_cols.size());
-    for (const size_t col : project_cols) proj_cols.push_back(open_column(col));
-
-    std::vector<PropertyValue> props(project_cols.size());
-    const vid_t first = topology().VertexRange(label).first;
-    end = std::min<size_t>(end, NumVerticesOfLabel(label));
-    for (size_t row = begin; row < end; ++row) {
-      bool pass = true;
-      for (size_t i = 0; i < filter.conditions.size(); ++i) {
-        if (!grin::MatchesCondition(filter.conditions[i],
-                                    cond_cols[i].Get(row))) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) {
-        FLEX_COUNTER_INC(metrics::kFusedRowsPrunedTotal);
-        continue;
-      }
-      for (size_t p = 0; p < proj_cols.size(); ++p) {
-        props[p] = proj_cols[p].Get(row);
-      }
-      if (!visitor(visitor_ctx, static_cast<vid_t>(first + row), props)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   PropertyValue GetVertexProperty(vid_t v, size_t col) const override {
     const label_t label = VertexLabelOf(v);
     const size_t row = v - topology().VertexRange(label).first;
@@ -661,18 +602,28 @@ class GraphArDirectGraph final : public storage::CsrGrinGraph {
 
  private:
   /// Reads rows `row(i)`, i < n, of `section` into `out`: the section
-  /// read and chunk-table parse happen once per call, and the one-chunk
-  /// decode cache serves sequential rows.
+  /// read and chunk-table parse happen once per call, and a one-chunk
+  /// decode cursor serves sequential rows. A batch (n > 1) decodes into
+  /// its own cursor with no lock, so concurrent batched reads (parallel
+  /// filtered scans) neither wait on each other nor evict each other's
+  /// chunk; scalar reads share the locked per-section cache.
   template <typename Row>
   void CachedGet(const std::string& section, PropertyType type, size_t n,
                  const Row& row, PropertyValue* out) const {
-    MutexLock lock(&cache_mu_);
     const auto parsed = reader_->ParseSection(section);
-    ChunkCursor& cursor = cache_[section];
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = parsed.ok() ? cursor.Get(parsed.value(), type, row(i))
-                           : PropertyValue();
+    auto read = [&](ChunkCursor* cursor) {
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = parsed.ok() ? cursor->Get(parsed.value(), type, row(i))
+                             : PropertyValue();
+      }
+    };
+    if (n > 1) {
+      ChunkCursor cursor;
+      read(&cursor);
+      return;
     }
+    MutexLock lock(&cache_mu_);
+    read(&cache_[section]);
   }
 
   const GraphArReader* reader_;
@@ -695,9 +646,9 @@ Result<std::unique_ptr<grin::GrinGraph>> GraphArReader::OpenDirect() const {
     const std::string base = "e/" + def.name + "/";
     FLEX_ASSIGN_OR_RETURN(auto src, DecodeInt64Section(base + "src"));
     FLEX_ASSIGN_OR_RETURN(auto dst, DecodeInt64Section(base + "dst"));
-    // Edges are sorted by source in the file, so the stable forward CSR
-    // keeps file order within each source: forward edge id == file row,
-    // which the property chunk lookups by edge id rely on.
+    // The file groups edges by source in vid order, so the stable
+    // forward CSR keeps file order: forward edge id == file row, which
+    // the property chunk lookups by edge id rely on.
     FLEX_RETURN_NOT_OK(
         topology.AddEdgeLabel(def.src_label, def.dst_label, src, dst));
   }

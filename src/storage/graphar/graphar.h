@@ -24,9 +24,11 @@ inline constexpr size_t kDefaultChunkSize = 1024;
 ///
 /// Layout: magic, then one chunked columnar section per vertex/edge column,
 /// then a named-section directory, then a footer pointing at the directory.
-/// Edges are sorted by (src, dst) and a per-chunk [min_src, max_src] index
-/// section enables neighbor fetches that decode only the relevant chunks —
-/// the paper's "retrieve only the relevant data chunks" property.
+/// Edges are sorted by their source's position in its label's vertex
+/// batch, then by dst oid (the direct view's edge id order), and a
+/// per-chunk [min_src, max_src] oid index section enables neighbor fetches
+/// that decode only the relevant chunks — the paper's "retrieve only the
+/// relevant data chunks" property.
 Status WriteGraphAr(const std::string& path, const PropertyGraphData& data,
                     size_t chunk_size = kDefaultChunkSize);
 

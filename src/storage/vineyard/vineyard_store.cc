@@ -53,14 +53,14 @@ class VineyardGrin final : public CsrGrinGraph {
   std::string backend_name() const override { return "vineyard"; }
 
   uint32_t capabilities() const override {
-    // No kPredicatePushdown: fused scans/expands on Vineyard go through
-    // the GrinGraph default filtered entry points, which keeps the
-    // always-correct fallback path covered by the parity suite (this is
-    // the backend exec_parity_test runs against).
+    // No kPredicatePushdown: fused scans and expands run the same filtered
+    // visits here as on every backend, but Vineyard's batched property
+    // read is its scalar read in a loop, so pushdown amortizes nothing.
+    // No kPartitionedGraph: a store is one unpartitioned graph.
     return grin::kVertexListArray | grin::kAdjacentListArray |
            grin::kAdjacentListIterator | grin::kVertexProperty |
            grin::kEdgeProperty | grin::kPropertyColumnArray |
-           grin::kPartitionedGraph | grin::kOidIndex | grin::kLabelIndex;
+           grin::kOidIndex | grin::kLabelIndex;
   }
 
   const GraphSchema& schema() const override { return store_->schema(); }

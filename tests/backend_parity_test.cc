@@ -9,8 +9,9 @@
 // for every backend, making EXPECT_EQ on doubles the honest comparison,
 // not an approximation. The edge-identity tests hold every backend to
 // GRIN's one-id-per-edge contract, the scan-window tests to its
-// position-window contract, and each native filtered scan to the
-// GrinGraph default on the same handle.
+// position-window contract, and GRIN's one filtered scan and filtered
+// expansion, on each property backend, to a scalar reference written
+// here (VisitVertices / VisitAdj + GetVertexProperty + MatchesCondition).
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/metric_names.h"
+#include "common/metrics.h"
 #include "datagen/generators.h"
 #include "grin/grin.h"
 #include "query/service.h"
@@ -60,19 +63,13 @@ EdgeList ParityGraph() {
   return list;
 }
 
-std::vector<Backend> BuildBackends(const EdgeList& list) {
+/// `data` served by the three property backends: Vineyard, a GART
+/// snapshot and a GraphAr direct view written with `chunk_size`.
+std::vector<Backend> PropertyBackends(
+    const PropertyGraphData& data,
+    size_t chunk_size = storage::graphar::kDefaultChunkSize) {
   std::vector<Backend> backends;
-
   {
-    auto store = std::make_shared<storage::SimpleCsrStore>(list);
-    std::shared_ptr<grin::GrinGraph> g = store->GetGrinHandle();
-    backends.push_back(
-        {"simple", g.get(),
-         std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
-  }
-  {
-    PropertyGraphData data =
-        storage::MakeSimpleGraphData(list, /*with_weights=*/false);
     std::shared_ptr<storage::VineyardStore> store =
         std::move(storage::VineyardStore::Build(data).value());
     std::shared_ptr<grin::GrinGraph> g = store->GetGrinHandle();
@@ -81,8 +78,6 @@ std::vector<Backend> BuildBackends(const EdgeList& list) {
          std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
   }
   {
-    PropertyGraphData data =
-        storage::MakeSimpleGraphData(list, /*with_weights=*/false);
     std::shared_ptr<storage::GartStore> store =
         std::move(storage::GartStore::Build(data).value());
     std::shared_ptr<grin::GrinGraph> g = store->GetSnapshot();
@@ -91,18 +86,8 @@ std::vector<Backend> BuildBackends(const EdgeList& list) {
          std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
   }
   {
-    std::shared_ptr<storage::LiveGraphStore> store =
-        std::move(storage::LiveGraphStore::Build(list));
-    std::shared_ptr<grin::GrinGraph> g = store->GetSnapshot();
-    backends.push_back(
-        {"livegraph", g.get(),
-         std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
-  }
-  {
-    PropertyGraphData data =
-        storage::MakeSimpleGraphData(list, /*with_weights=*/false);
-    const std::string path = testing::TempDir() + "backend_parity.gar";
-    EXPECT_TRUE(storage::graphar::WriteGraphAr(path, data).ok());
+    const std::string path = testing::TempDir() + "backend_properties.gar";
+    EXPECT_TRUE(storage::graphar::WriteGraphAr(path, data, chunk_size).ok());
     std::shared_ptr<storage::graphar::GraphArReader> reader =
         std::move(storage::graphar::GraphArReader::Open(path).value());
     std::shared_ptr<grin::GrinGraph> g =
@@ -111,6 +96,32 @@ std::vector<Backend> BuildBackends(const EdgeList& list) {
         {"graphar", g.get(),
          std::make_shared<std::pair<decltype(reader), decltype(g)>>(reader,
                                                                     g)});
+  }
+  return backends;
+}
+
+/// All five backends over `list`: simple, the three property backends
+/// and LiveGraph.
+std::vector<Backend> BuildBackends(const EdgeList& list) {
+  std::vector<Backend> backends;
+  {
+    auto store = std::make_shared<storage::SimpleCsrStore>(list);
+    std::shared_ptr<grin::GrinGraph> g = store->GetGrinHandle();
+    backends.push_back(
+        {"simple", g.get(),
+         std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
+  }
+  for (Backend& b : PropertyBackends(
+           storage::MakeSimpleGraphData(list, /*with_weights=*/false))) {
+    backends.push_back(std::move(b));
+  }
+  {
+    std::shared_ptr<storage::LiveGraphStore> store =
+        std::move(storage::LiveGraphStore::Build(list));
+    std::shared_ptr<grin::GrinGraph> g = store->GetSnapshot();
+    backends.push_back(
+        {"livegraph", g.get(),
+         std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
   }
   return backends;
 }
@@ -419,90 +430,38 @@ TEST(BackendParityTest, ScanWindowsTileTheLabelOnEveryBackend) {
 
 /// Two labels with an int and a string property, their vertices added
 /// interleaved so each label's scan order differs from global insertion
-/// order.
+/// order, and an edge label from A to B giving every A vertex two
+/// neighbors.
 PropertyGraphData LabelledGraph() {
   PropertyGraphData data;
   const std::vector<PropertyDef> props = {{"num", PropertyType::kInt64},
                                           {"name", PropertyType::kString}};
   const label_t a = data.schema.AddVertexLabel("A", props).value();
   const label_t b = data.schema.AddVertexLabel("B", props).value();
-  EXPECT_TRUE(data.schema.AddEdgeLabel("E", a, b, {}).ok());
+  const label_t e = data.schema.AddEdgeLabel("E", a, b, {}).value();
   for (oid_t i = 0; i < 50; ++i) {
     const std::vector<PropertyValue> values = {
         PropertyValue(int64_t{(i * 7) % 11 - 3}),
         PropertyValue("n" + std::to_string(i % 5))};
     data.AddVertex(i % 3 == 0 ? b : a, i, values);
   }
-  data.AddEdge(0, 1, 0, {});
+  // B holds the 17 multiples of 3; A vertex i links to two of them.
+  for (oid_t i = 0; i < 50; ++i) {
+    if (i % 3 == 0) continue;
+    data.AddEdge(e, i, 3 * ((i * 7) % 17), {});
+    data.AddEdge(e, i, 3 * ((i * 11 + 5) % 17), {});
+  }
   return data;
 }
 
-/// One filtered window, rendered as "vid|type:value|..." per survivor.
-/// `native` selects the backend's override; otherwise the GrinGraph
-/// default runs on the same handle.
-std::vector<std::string> FilteredWindow(const grin::GrinGraph& g, bool native,
-                                        label_t label, size_t begin,
-                                        size_t end,
-                                        const grin::VertexFilter& filter,
-                                        std::span<const size_t> cols) {
-  std::vector<std::string> out;
-  auto visitor = [](void* raw, vid_t v,
-                    std::span<const PropertyValue> props) -> bool {
-    std::string row = std::to_string(v);
-    for (const PropertyValue& p : props) {
-      row += "|" + std::to_string(static_cast<int>(p.type())) + ":" +
-             p.ToString();
-    }
-    static_cast<std::vector<std::string>*>(raw)->push_back(std::move(row));
-    return true;
-  };
-  if (native) {
-    g.VisitVerticesFiltered(label, begin, end, filter, cols, visitor, &out);
-  } else {
-    g.grin::GrinGraph::VisitVerticesFiltered(label, begin, end, filter, cols,
-                                             visitor, &out);
-  }
-  return out;
-}
-
-TEST(BackendParityTest, NativeFilteredWindowsMatchTheGrinDefault) {
-  const PropertyGraphData data = LabelledGraph();
-  std::vector<Backend> backends;
-  {
-    std::shared_ptr<storage::VineyardStore> store =
-        std::move(storage::VineyardStore::Build(data).value());
-    std::shared_ptr<grin::GrinGraph> g = store->GetGrinHandle();
-    backends.push_back(
-        {"vineyard", g.get(),
-         std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
-  }
-  {
-    std::shared_ptr<storage::GartStore> store =
-        std::move(storage::GartStore::Build(data).value());
-    std::shared_ptr<grin::GrinGraph> g = store->GetSnapshot();
-    backends.push_back(
-        {"gart", g.get(),
-         std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g)});
-  }
-  {
-    const std::string path = testing::TempDir() + "backend_windows.gar";
-    ASSERT_TRUE(storage::graphar::WriteGraphAr(path, data).ok());
-    std::shared_ptr<storage::graphar::GraphArReader> reader =
-        std::move(storage::graphar::GraphArReader::Open(path).value());
-    std::shared_ptr<grin::GrinGraph> g =
-        std::move(reader->OpenDirect().value());
-    backends.push_back(
-        {"graphar", g.get(),
-         std::make_shared<std::pair<decltype(reader), decltype(g)>>(reader,
-                                                                    g)});
-  }
-
+/// Every comparison against an int and a string column, the unresolved
+/// column both ways, a two-condition filter and the empty filter.
+std::vector<grin::VertexFilter> TestFilters() {
   using Cmp = grin::VertexCondition::Cmp;
-  const Cmp kCmps[] = {Cmp::kEq, Cmp::kNe, Cmp::kLt,
-                       Cmp::kLe, Cmp::kGt, Cmp::kGe};
   std::vector<grin::VertexFilter> filters;
-  filters.push_back({});  // Empty: every vertex survives.
-  for (const Cmp cmp : kCmps) {
+  filters.push_back({});  // Empty: every candidate survives.
+  for (const Cmp cmp : {Cmp::kEq, Cmp::kNe, Cmp::kLt, Cmp::kLe, Cmp::kGt,
+                        Cmp::kGe}) {
     filters.push_back({{{0, cmp, PropertyValue(int64_t{2})}}});
     filters.push_back({{{1, cmp, PropertyValue("n2")}}});
   }
@@ -513,6 +472,73 @@ TEST(BackendParityTest, NativeFilteredWindowsMatchTheGrinDefault) {
       {{{grin::VertexCondition::kNoColumn, Cmp::kNe, PropertyValue()}}});
   filters.push_back({{{0, Cmp::kGe, PropertyValue(int64_t{0})},
                       {1, Cmp::kNe, PropertyValue("n1")}}});
+  return filters;
+}
+
+/// `prefix` followed by "|type:value" per property.
+std::string Render(std::string prefix, std::span<const PropertyValue> props) {
+  for (const PropertyValue& p : props) {
+    prefix += "|" + std::to_string(static_cast<int>(p.type())) + ":" +
+              p.ToString();
+  }
+  return prefix;
+}
+
+/// The scalar reference: `filter` on `v`, one boxed read per condition.
+bool ScalarMatches(const grin::GrinGraph& g, const grin::VertexFilter& filter,
+                   vid_t v) {
+  for (const grin::VertexCondition& c : filter.conditions) {
+    const PropertyValue value = c.column == grin::VertexCondition::kNoColumn
+                                    ? PropertyValue()
+                                    : g.GetVertexProperty(v, c.column);
+    if (!grin::MatchesCondition(c, value)) return false;
+  }
+  return true;
+}
+
+/// The scalar reference's projection of `v`.
+std::vector<PropertyValue> ScalarProject(const grin::GrinGraph& g, vid_t v,
+                                         std::span<const size_t> cols) {
+  std::vector<PropertyValue> props;
+  for (const size_t col : cols) props.push_back(g.GetVertexProperty(v, col));
+  return props;
+}
+
+/// One filtered window, rendered as "vid|type:value|..." per survivor.
+std::vector<std::string> FilteredWindow(const grin::GrinGraph& g,
+                                        label_t label, size_t begin,
+                                        size_t end,
+                                        const grin::VertexFilter& filter,
+                                        std::span<const size_t> cols) {
+  std::vector<std::string> out;
+  EXPECT_TRUE(g.VisitVerticesFiltered(
+      label, begin, end, filter, cols,
+      [](void* raw, vid_t v, std::span<const PropertyValue> props) -> bool {
+        static_cast<std::vector<std::string>*>(raw)->push_back(
+            Render(std::to_string(v), props));
+        return true;
+      },
+      &out));
+  return out;
+}
+
+/// FilteredWindow computed by the scalar reference.
+std::vector<std::string> ReferenceWindow(const grin::GrinGraph& g,
+                                         label_t label, size_t begin,
+                                         size_t end,
+                                         const grin::VertexFilter& filter,
+                                         std::span<const size_t> cols) {
+  std::vector<std::string> out;
+  for (const vid_t v : VisitWindow(g, label, begin, end)) {
+    if (!ScalarMatches(g, filter, v)) continue;
+    out.push_back(Render(std::to_string(v), ScalarProject(g, v, cols)));
+  }
+  return out;
+}
+
+TEST(BackendParityTest, FilteredWindowsMatchAScalarReference) {
+  const std::vector<Backend> backends = PropertyBackends(LabelledGraph());
+  const std::vector<grin::VertexFilter> filters = TestFilters();
   const std::vector<size_t> no_cols;
   const std::vector<size_t> cols = {1, 0};
 
@@ -527,28 +553,242 @@ TEST(BackendParityTest, NativeFilteredWindowsMatchTheGrinDefault) {
                      std::to_string(f));
         for (const std::span<const size_t> project : {std::span(no_cols),
                                                       std::span(cols)}) {
-          std::vector<std::string> tiled;
           for (size_t begin = 0; begin < n + 7; begin += 7) {
-            const auto native =
-                FilteredWindow(g, true, label, begin, begin + 7, filters[f],
-                               project);
-            EXPECT_EQ(native, FilteredWindow(g, false, label, begin,
-                                             begin + 7, filters[f], project))
+            EXPECT_EQ(FilteredWindow(g, label, begin, begin + 7, filters[f],
+                                     project),
+                      ReferenceWindow(g, label, begin, begin + 7,
+                                      filters[f], project))
                 << "window " << begin;
-            tiled.insert(tiled.end(), native.begin(), native.end());
           }
-          EXPECT_EQ(tiled, FilteredWindow(g, false, label, 0, n, filters[f],
-                                          project));
+          EXPECT_EQ(FilteredWindow(g, label, 0, n, filters[f], project),
+                    ReferenceWindow(g, label, 0, n, filters[f], project));
         }
       }
       // The empty filter keeps the whole label, in VisitVertices order.
-      const auto all = FilteredWindow(g, true, label, 0, n, filters[0], {});
+      const auto all = FilteredWindow(g, label, 0, n, filters[0], {});
       const auto vids = VisitWindow(g, label, 0, n);
       ASSERT_EQ(all.size(), vids.size());
       for (size_t i = 0; i < vids.size(); ++i) {
         EXPECT_EQ(all[i], std::to_string(vids[i]));
       }
     }
+  }
+}
+
+/// One filtered batched expansion, rendered as
+/// "src_index|nbr|type:value|..." per surviving neighbor.
+std::vector<std::string> FilteredNeighbors(const grin::GrinGraph& g,
+                                           std::span<const vid_t> vids,
+                                           Direction dir, label_t dst_label,
+                                           const grin::VertexFilter& filter,
+                                           std::span<const size_t> cols) {
+  std::vector<std::string> out;
+  EXPECT_TRUE(g.GetNeighborsBatch(
+      vids, dir, 0, dst_label, filter, cols,
+      [](void* raw, size_t src_index, vid_t nbr,
+         std::span<const PropertyValue> props) -> bool {
+        static_cast<std::vector<std::string>*>(raw)->push_back(Render(
+            std::to_string(src_index) + "|" + std::to_string(nbr), props));
+        return true;
+      },
+      &out));
+  return out;
+}
+
+/// FilteredNeighbors computed by the scalar reference: VisitAdj per
+/// source, out before in.
+std::vector<std::string> ReferenceNeighbors(const grin::GrinGraph& g,
+                                            std::span<const vid_t> vids,
+                                            Direction dir, label_t dst_label,
+                                            const grin::VertexFilter& filter,
+                                            std::span<const size_t> cols) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < vids.size(); ++i) {
+    for (const Direction d : {Direction::kOut, Direction::kIn}) {
+      if (dir != Direction::kBoth && dir != d) continue;
+      grin::ForEachAdj(g, vids[i], d, 0, [&](vid_t nbr, double, eid_t) {
+        if (dst_label != kInvalidLabel && g.VertexLabelOf(nbr) != dst_label) {
+          return;
+        }
+        if (!ScalarMatches(g, filter, nbr)) return;
+        out.push_back(Render(std::to_string(i) + "|" + std::to_string(nbr),
+                             ScalarProject(g, nbr, cols)));
+      });
+    }
+  }
+  return out;
+}
+
+TEST(BackendParityTest, FilteredNeighborBatchesMatchAScalarReference) {
+  const std::vector<Backend> backends = PropertyBackends(LabelledGraph());
+  const std::vector<grin::VertexFilter> filters = TestFilters();
+  const std::vector<size_t> no_cols;
+  const std::vector<size_t> cols = {1, 0};
+
+  for (const Backend& b : backends) {
+    SCOPED_TRACE(b.name);
+    const grin::GrinGraph& g = *b.graph;
+    // Sources of both labels, so kBoth and kInvalidLabel see neighbors of
+    // both labels.
+    std::vector<vid_t> sources = VisitWindow(g, 0, 0, g.NumVerticesOfLabel(0));
+    for (const vid_t v : VisitWindow(g, 1, 0, g.NumVerticesOfLabel(1))) {
+      sources.push_back(v);
+    }
+    for (const Direction dir :
+         {Direction::kOut, Direction::kIn, Direction::kBoth}) {
+      for (const label_t dst_label : {kInvalidLabel, label_t{0}, label_t{1}}) {
+        for (size_t f = 0; f < filters.size(); ++f) {
+          SCOPED_TRACE("dir " + std::to_string(static_cast<int>(dir)) +
+                       " dst_label " + std::to_string(dst_label) +
+                       " filter " + std::to_string(f));
+          for (const std::span<const size_t> project : {std::span(no_cols),
+                                                        std::span(cols)}) {
+            const std::span<const vid_t> all(sources);
+            for (size_t begin = 0; begin < all.size(); begin += 7) {
+              const auto part =
+                  all.subspan(begin, std::min<size_t>(7, all.size() - begin));
+              EXPECT_EQ(FilteredNeighbors(g, part, dir, dst_label,
+                                          filters[f], project),
+                        ReferenceNeighbors(g, part, dir, dst_label,
+                                           filters[f], project))
+                  << "sources from " << begin;
+            }
+            EXPECT_EQ(
+                FilteredNeighbors(g, all, dir, dst_label, filters[f], project),
+                ReferenceNeighbors(g, all, dir, dst_label, filters[f],
+                                   project));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendParityTest, FilteredVisitStopsOnEitherSideOfAChunkBoundary) {
+  // Filters are evaluated 1,024 candidates at a time; 2,500 candidates
+  // span three chunks, and every fourth one fails `num != 1`.
+  PropertyGraphData data;
+  const label_t v =
+      data.schema.AddVertexLabel("V", {{"num", PropertyType::kInt64}})
+          .value();
+  for (oid_t i = 0; i < 2500; ++i) {
+    data.AddVertex(v, i, {PropertyValue(int64_t{i % 4})});
+  }
+  const grin::VertexFilter not_one{
+      {{0, grin::VertexCondition::Cmp::kNe, PropertyValue(int64_t{1})}}};
+  // A filtered, projected visit and one with neither filter nor
+  // projection.
+  const std::vector<std::pair<grin::VertexFilter, std::vector<size_t>>>
+      visits = {{not_one, {0}}, {{}, {}}};
+  metrics::Counter* pruned = metrics::MetricsRegistry::Instance().GetCounter(
+      metrics::kFusedRowsPrunedTotal);
+
+  for (const Backend& b : PropertyBackends(data)) {
+    const grin::GrinGraph& g = *b.graph;
+    const std::vector<vid_t> scan = VisitWindow(g, v, 0, 2500);
+    ASSERT_EQ(scan.size(), 2500u);
+    for (const auto& [filter, cols] : visits) {
+      SCOPED_TRACE(b.name + (filter.empty() ? " unfiltered" : " filtered"));
+      // Scan positions of the reference's survivors.
+      std::vector<size_t> survivors;
+      for (size_t pos = 0; pos < scan.size(); ++pos) {
+        if (ScalarMatches(g, filter, scan[pos])) survivors.push_back(pos);
+      }
+      const auto boundary =
+          std::lower_bound(survivors.begin(), survivors.end(), size_t{1024}) -
+          survivors.begin();
+      // Stop on the last survivor before the boundary, on the first one
+      // after it, and never.
+      for (const size_t limit : {size_t(boundary), size_t(boundary + 1),
+                                 survivors.size() + 1}) {
+        SCOPED_TRACE("limit " + std::to_string(limit));
+        struct Sink {
+          size_t limit;
+          std::vector<std::string> rows;
+        } sink{limit, {}};
+        const uint64_t before = pruned->Value();
+        const bool finished = g.VisitVerticesFiltered(
+            v, 0, 2500, filter, cols,
+            [](void* raw, vid_t u, std::span<const PropertyValue> props) {
+              auto* s = static_cast<Sink*>(raw);
+              s->rows.push_back(Render(std::to_string(u), props));
+              return s->rows.size() < s->limit;
+            },
+            &sink);
+        const size_t delivered = std::min(limit, survivors.size());
+        EXPECT_EQ(finished, delivered < limit);
+        // The reference's first survivors, in scan order.
+        std::vector<std::string> expected;
+        for (size_t k = 0; k < delivered; ++k) {
+          const vid_t u = scan[survivors[k]];
+          expected.push_back(
+              Render(std::to_string(u), ScalarProject(g, u, cols)));
+        }
+        EXPECT_EQ(sink.rows, expected);
+        // Rejected: every candidate ahead of the last survivor delivered,
+        // or every candidate when the visit ran to the end.
+        const size_t seen = finished ? scan.size() : survivors[limit - 1] + 1;
+        EXPECT_EQ(pruned->Value() - before, seen - delivered);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------ GraphAr edge order
+
+TEST(BackendParityTest, EdgePropertiesSurviveShuffledVertexOrder) {
+  // Vertices added out of oid order: vids follow input order, and the
+  // archive must lay its edge rows out in that order too.
+  PropertyGraphData data;
+  const label_t v = data.schema.AddVertexLabel("V", {}).value();
+  const label_t e =
+      data.schema.AddEdgeLabel("E", v, v, {{"w", PropertyType::kInt64}})
+          .value();
+  for (const oid_t o : {5, 2, 7, 0, 3, 6, 1, 4}) data.AddVertex(v, o, {});
+  auto weight = [](oid_t src, oid_t dst) { return int64_t{src * 100 + dst}; };
+  for (const oid_t s : {3, 0, 6, 1, 7, 4, 2, 5}) {
+    for (const oid_t d : {(s + 3) % 8, (s + 1) % 8}) {
+      data.AddEdge(e, s, d, {PropertyValue(weight(s, d))});
+    }
+  }
+  // Chunks of three rows: sources out of oid order share a chunk, so the
+  // chunk index must hold each chunk's true source range.
+  const std::string path = testing::TempDir() + "shuffled_vertices.gar";
+  ASSERT_TRUE(storage::graphar::WriteGraphAr(path, data, 3).ok());
+  std::unique_ptr<storage::graphar::GraphArReader> reader =
+      std::move(storage::graphar::GraphArReader::Open(path).value());
+  for (oid_t s = 0; s < 8; ++s) {
+    Result<std::vector<oid_t>> nbrs = reader->FetchNeighbors(e, s);
+    ASSERT_TRUE(nbrs.ok()) << nbrs.status().ToString();
+    std::vector<oid_t> got = std::move(nbrs).value();
+    std::sort(got.begin(), got.end());
+    std::vector<oid_t> want = {(s + 1) % 8, (s + 3) % 8};
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << "source " << s;
+  }
+
+  for (const Backend& b : PropertyBackends(data, 3)) {
+    SCOPED_TRACE(b.name);
+    const grin::GrinGraph& g = *b.graph;
+    size_t reads = 0;
+    for (oid_t o = 0; o < 8; ++o) {
+      const vid_t u = g.FindVertex(v, o).value();
+      grin::ForEachAdj(g, u, Direction::kOut, e,
+                       [&](vid_t nbr, double, eid_t id) {
+                         EXPECT_EQ(g.GetEdgeProperty(e, id, 0).ToString(),
+                                   std::to_string(weight(o, g.GetOid(nbr))))
+                             << o << "->" << g.GetOid(nbr);
+                         ++reads;
+                       });
+      grin::ForEachAdj(g, u, Direction::kIn, e,
+                       [&](vid_t nbr, double, eid_t id) {
+                         EXPECT_EQ(g.GetEdgeProperty(e, id, 0).ToString(),
+                                   std::to_string(weight(g.GetOid(nbr), o)))
+                             << g.GetOid(nbr) << "->" << o;
+                         ++reads;
+                       });
+    }
+    EXPECT_EQ(reads, 32u);
   }
 }
 

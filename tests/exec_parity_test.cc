@@ -8,11 +8,15 @@
 // pushdown) and with fusion disabled, and the two plans must agree
 // row-for-row: fusion is a plan-shape change only. Span shapes are
 // compared within one plan (a fused plan legitimately records op.fused_*
-// marker spans the unfused plan does not).
+// marker spans the unfused plan does not). The whole suite runs once per
+// property backend — Vineyard, a GART snapshot and a GraphAr direct view —
+// so every backend's scan, expansion and pushdown path is held to the
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,10 +24,54 @@
 #include "query/service.h"
 #include "runtime/gaia.h"
 #include "snb/snb.h"
+#include "storage/gart/gart_store.h"
+#include "storage/graphar/graphar.h"
 #include "storage/vineyard/vineyard_store.h"
 
 namespace flex::query {
 namespace {
+
+/// A GRIN handle on the SNB graph plus whatever keeps it valid.
+struct OpenedGraph {
+  std::shared_ptr<void> owner;
+  std::unique_ptr<grin::GrinGraph> graph;
+};
+
+struct Vineyard {
+  static constexpr char kName[] = "vineyard";
+  static OpenedGraph Open(const PropertyGraphData& data) {
+    std::shared_ptr<storage::VineyardStore> store =
+        std::move(storage::VineyardStore::Build(data).value());
+    return {store, store->GetGrinHandle()};
+  }
+};
+
+struct Gart {
+  static constexpr char kName[] = "gart";
+  static OpenedGraph Open(const PropertyGraphData& data) {
+    std::shared_ptr<storage::GartStore> store =
+        std::move(storage::GartStore::Build(data).value());
+    return {store, store->GetSnapshot()};
+  }
+};
+
+struct GraphAr {
+  static constexpr char kName[] = "graphar";
+  static OpenedGraph Open(const PropertyGraphData& data) {
+    const std::string path = testing::TempDir() + "exec_parity.gar";
+    EXPECT_TRUE(storage::graphar::WriteGraphAr(path, data).ok());
+    std::shared_ptr<storage::graphar::GraphArReader> reader =
+        std::move(storage::graphar::GraphArReader::Open(path).value());
+    return {reader, std::move(reader->OpenDirect().value())};
+  }
+};
+
+struct BackendName {
+  template <typename Backend>
+  static std::string GetName(int) {
+    return Backend::kName;
+  }
+};
 
 /// Canonicalizes a trace into its span *shape*: each span rendered as its
 /// root-to-leaf path of names, all paths sorted. Two traces with equal
@@ -48,6 +96,7 @@ std::vector<std::string> SpanShape(const trace::Trace& trace) {
   return paths;
 }
 
+template <typename Backend>
 class ExecParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -56,8 +105,8 @@ class ExecParityTest : public ::testing::Test {
     config.seed = 17;
     stats_ = new snb::SnbStats();
     auto data = snb::GenerateSnb(config, stats_);
-    store_ = storage::VineyardStore::Build(data).value().release();
-    graph_ = store_->GetGrinHandle().release();
+    opened_ = new OpenedGraph(Backend::Open(data));
+    graph_ = opened_->graph.get();
     service_ = new QueryService(graph_, 1);
     gaia1_ = new runtime::GaiaEngine(graph_, 1);
     gaia4_ = new runtime::GaiaEngine(graph_, 4);
@@ -66,8 +115,7 @@ class ExecParityTest : public ::testing::Test {
     delete gaia4_;
     delete gaia1_;
     delete service_;
-    delete graph_;
-    delete store_;
+    delete opened_;
     delete stats_;
   }
 
@@ -132,30 +180,43 @@ class ExecParityTest : public ::testing::Test {
   }
 
   static snb::SnbStats* stats_;
-  static storage::VineyardStore* store_;
+  static OpenedGraph* opened_;
   static grin::GrinGraph* graph_;
   static QueryService* service_;
   static runtime::GaiaEngine* gaia1_;
   static runtime::GaiaEngine* gaia4_;
 };
 
-snb::SnbStats* ExecParityTest::stats_ = nullptr;
-storage::VineyardStore* ExecParityTest::store_ = nullptr;
-grin::GrinGraph* ExecParityTest::graph_ = nullptr;
-QueryService* ExecParityTest::service_ = nullptr;
-runtime::GaiaEngine* ExecParityTest::gaia1_ = nullptr;
-runtime::GaiaEngine* ExecParityTest::gaia4_ = nullptr;
+template <typename Backend>
+snb::SnbStats* ExecParityTest<Backend>::stats_ = nullptr;
+template <typename Backend>
+OpenedGraph* ExecParityTest<Backend>::opened_ = nullptr;
+template <typename Backend>
+grin::GrinGraph* ExecParityTest<Backend>::graph_ = nullptr;
+template <typename Backend>
+QueryService* ExecParityTest<Backend>::service_ = nullptr;
+template <typename Backend>
+runtime::GaiaEngine* ExecParityTest<Backend>::gaia1_ = nullptr;
+template <typename Backend>
+runtime::GaiaEngine* ExecParityTest<Backend>::gaia4_ = nullptr;
 
-TEST_F(ExecParityTest, InteractiveComplexQueries) {
-  for (const auto& spec : snb::InteractiveComplexQueries()) CheckParity(spec);
+using PropertyBackends = ::testing::Types<Vineyard, Gart, GraphAr>;
+TYPED_TEST_SUITE(ExecParityTest, PropertyBackends, BackendName);
+
+TYPED_TEST(ExecParityTest, InteractiveComplexQueries) {
+  for (const auto& spec : snb::InteractiveComplexQueries()) {
+    TestFixture::CheckParity(spec);
+  }
 }
 
-TEST_F(ExecParityTest, InteractiveShortQueries) {
-  for (const auto& spec : snb::InteractiveShortQueries()) CheckParity(spec);
+TYPED_TEST(ExecParityTest, InteractiveShortQueries) {
+  for (const auto& spec : snb::InteractiveShortQueries()) {
+    TestFixture::CheckParity(spec);
+  }
 }
 
-TEST_F(ExecParityTest, BiQueries) {
-  for (const auto& spec : snb::BiQueries()) CheckParity(spec);
+TYPED_TEST(ExecParityTest, BiQueries) {
+  for (const auto& spec : snb::BiQueries()) TestFixture::CheckParity(spec);
 }
 
 }  // namespace
