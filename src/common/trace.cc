@@ -56,8 +56,12 @@ void AppendJsonString(std::ostringstream* out, const std::string& s) {
 
 }  // namespace
 
+// The epoch is one microsecond before construction, so every recorded time
+// is at least 1 and end_us == 0 always means "still open". Times are never
+// clamped, so spans that close one after another never add up to more than
+// the span around them.
 Trace::Trace(std::string query_id)
-    : query_id_(std::move(query_id)), epoch_ns_(SteadyNowNanos()) {}
+    : query_id_(std::move(query_id)), epoch_ns_(SteadyNowNanos() - 1000) {}
 
 uint64_t Trace::NowMicros() const {
   return (SteadyNowNanos() - epoch_ns_) / 1000;
@@ -83,10 +87,7 @@ void Trace::EndSpan(uint64_t id) {
   MutexLock lock(&mu_);
   if (id > spans_.size()) return;
   Span& span = spans_[id - 1];
-  // Clamp to 1 so end_us == 0 stays an unambiguous "still open" marker
-  // even for spans that close within the trace's first microsecond (the
-  // ≤1us duration skew is below the clock's own resolution).
-  if (span.end_us == 0) span.end_us = now == 0 ? 1 : now;
+  if (span.end_us == 0) span.end_us = now;
 }
 
 std::vector<Span> Trace::spans() const {

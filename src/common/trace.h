@@ -51,9 +51,9 @@ class Trace {
   uint64_t BeginSpan(const std::string& name, const std::string& category,
                      uint64_t parent = kNoParent) EXCLUDES(mu_);
 
-  /// Closes an open span. Closing twice keeps the first end time. The
-  /// recorded end is clamped to >= 1us after the epoch so end_us == 0
-  /// always means "still open".
+  /// Closes an open span. Closing twice keeps the first end time. Every
+  /// recorded time is at least 1, so end_us == 0 always means "still
+  /// open".
   void EndSpan(uint64_t id) EXCLUDES(mu_);
 
   /// Snapshot of all spans recorded so far (open spans have end_us == 0).
@@ -71,7 +71,8 @@ class Trace {
   /// spans appear in creation order.
   std::string ToJson() const EXCLUDES(mu_);
 
-  /// Microseconds since this trace's construction (steady clock).
+  /// Microseconds since the trace's epoch, one microsecond before its
+  /// construction (steady clock).
   uint64_t NowMicros() const;
 
  private:

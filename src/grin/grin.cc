@@ -215,13 +215,12 @@ bool GrinGraph::VisitVerticesFiltered(label_t label, size_t begin,
 bool GrinGraph::GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
                                   label_t edge_label, label_t dst_label,
                                   const VertexFilter& filter,
-                                  std::span<const size_t> project_cols,
                                   FilteredNeighborVisitor visitor,
                                   void* ctx) const {
-  FilterPass pass(*this, filter, project_cols,
+  FilterPass pass(*this, filter, {},
                   [&](vid_t nbr, size_t src_index,
-                      std::span<const PropertyValue> props) {
-                    return visitor(ctx, src_index, nbr, props);
+                      std::span<const PropertyValue>) {
+                    return visitor(ctx, src_index, nbr);
                   });
   using Pass = decltype(pass);
   struct Fwd {

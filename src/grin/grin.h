@@ -53,7 +53,8 @@ enum Trait : uint32_t {
   // --- predicate ---
   /// The backend amortizes GetVerticesProperties across a span, so a
   /// filter pushed into a scan or expansion reads its columns cheaper
-  /// than row by row. The filtered visits work on every backend.
+  /// than row by row. No backend advertises it: the filtered visits run
+  /// the same on every backend, and nothing negotiates on it.
   kPredicatePushdown = 1u << 9,
 
   // --- common ---
@@ -131,11 +132,10 @@ using FilteredVertexVisitor = bool (*)(void* ctx, vid_t v,
                                        std::span<const PropertyValue> props);
 
 /// Visitor for filtered batched expansion: called once per surviving
-/// neighbor (`src_index` positions the source inside the requested span),
-/// with `props` as above. Return false to stop.
-using FilteredNeighborVisitor =
-    bool (*)(void* ctx, size_t src_index, vid_t nbr,
-             std::span<const PropertyValue> props);
+/// neighbor (`src_index` positions the source inside the requested span).
+/// Return false to stop.
+using FilteredNeighborVisitor = bool (*)(void* ctx, size_t src_index,
+                                         vid_t nbr);
 
 /// The unified graph retrieval handle every execution engine programs
 /// against. Implementations are views: cheap to create, do not own the
@@ -219,17 +219,15 @@ class GrinGraph {
                                  label_t edge_label, BatchAdjVisitor visitor,
                                  void* ctx) const;
 
-  /// Filtered + projected batched expansion (the adjacency entry point
-  /// of pushdown): like GetNeighborsBatch — same per-source
-  /// kOut-then-kIn order — but each neighbor is checked against
-  /// `dst_label` (kInvalidLabel = any) and then `filter`, and survivors
-  /// are delivered one at a time with `project_cols` gathered. The filter
-  /// and projection run exactly as in VisitVerticesFiltered, over the
-  /// neighbors of the right label.
+  /// Filtered batched expansion (the adjacency entry point of
+  /// pushdown): like GetNeighborsBatch — same per-source kOut-then-kIn
+  /// order — but each neighbor is checked against `dst_label`
+  /// (kInvalidLabel = any) and then `filter`, and survivors are delivered
+  /// one at a time. The filter runs exactly as in VisitVerticesFiltered,
+  /// over the neighbors of the right label.
   bool GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
                          label_t edge_label, label_t dst_label,
                          const VertexFilter& filter,
-                         std::span<const size_t> project_cols,
                          FilteredNeighborVisitor visitor, void* ctx) const;
 
   // ------------------------------------------------------------ property

@@ -344,7 +344,27 @@ class CypherParser {
 
   // --------------------------------------------------------- expressions
 
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  /// Deepest expression nesting accepted: each parenthesized
+  /// subexpression and each NOT takes a level. It bounds the parser's
+  /// recursion, and with it how deep nesting can make the Expr trees that
+  /// evaluation and destruction recurse over.
+  static constexpr int kMaxExprDepth = 256;
+
+  /// Opens one nesting level, or fails past kMaxExprDepth. A caller
+  /// closes its level once its subexpression parsed; an error ends the
+  /// whole parse, so a failed level is never closed.
+  Status Nest() {
+    if (++depth_ <= kMaxExprDepth) return Status::OK();
+    return Status::ParseError("expression nested deeper than " +
+                              std::to_string(kMaxExprDepth) + " levels");
+  }
+
+  Result<ExprPtr> ParseExpr() {
+    FLEX_RETURN_NOT_OK(Nest());
+    FLEX_ASSIGN_OR_RETURN(ExprPtr expr, ParseOr());
+    --depth_;
+    return expr;
+  }
 
   Result<ExprPtr> ParseOr() {
     FLEX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
@@ -366,7 +386,9 @@ class CypherParser {
 
   Result<ExprPtr> ParseNot() {
     if (ts_.TryKeyword("NOT")) {
+      FLEX_RETURN_NOT_OK(Nest());
       FLEX_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
+      --depth_;
       return Expr::Not(std::move(inner));
     }
     return ParseComparison();
@@ -530,6 +552,7 @@ class CypherParser {
   TokenStream ts_;
   const GraphSchema& schema_;
   ir::PlanBuilder builder_;
+  int depth_ = 0;  ///< Expression nesting levels currently open.
 };
 
 }  // namespace

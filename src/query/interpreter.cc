@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 
@@ -266,6 +268,30 @@ bool KeepFiltered(void* raw, vid_t v, std::span<const PropertyValue> props) {
   return true;
 }
 
+/// Rows the reference hands from one streaming operator to the next at a
+/// time, so no streaming operator's whole output is ever held at once.
+constexpr size_t kReferenceChunk = 64;
+
+/// True for the operators that map each input row to output rows on its
+/// own, in input order, so the reference may feed them a chunk at a time
+/// and still produce every row in the same order. A scan is not one: past
+/// the leading position it crosses each vertex with the whole input.
+bool Streams(ir::OpKind kind) {
+  switch (kind) {
+    case ir::OpKind::kExpandEdge:
+    case ir::OpKind::kGetVertex:
+    case ir::OpKind::kExpand:
+    case ir::OpKind::kFusedExpand:
+    case ir::OpKind::kExpandVar:
+    case ir::OpKind::kExpandInto:
+    case ir::OpKind::kSelect:
+    case ir::OpKind::kProject:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 bool Interpreter::IsBlocking(const ir::Op& op) {
@@ -290,15 +316,78 @@ Result<std::vector<Row>> Interpreter::Run(const ir::Plan& plan,
 Result<std::vector<Row>> Interpreter::RunTupleAtATime(
     const ir::Plan& plan, const ExecOptions& opts) const {
   std::vector<Row> rows;
-  for (size_t i = 0; i < plan.ops.size(); ++i) {
+  // The plan runs as a sequence of runs: an operator that takes its whole
+  // input at once (a scan or a blocking operator), then the streaming
+  // operators after it, which take its output a chunk at a time.
+  for (size_t head = 0; head < plan.ops.size();) {
+    size_t end = head + 1;
+    while (end < plan.ops.size() && Streams(plan.ops[end].kind)) ++end;
     // Operator boundary: the interpreter's cancellation/deadline quantum.
     FLEX_RETURN_NOT_OK(
         CheckRunnable(opts.deadline, opts.cancel, "interpreter"));
-    trace::ScopedSpan op_span(opts.trace, ir::OpKindName(plan.ops[i].kind),
-                              "operator", opts.trace_parent);
-    FLEX_RETURN_NOT_OK(Apply(plan.ops[i], i == 0, &rows, opts, op_span.id()));
+    // One span per operator, open while its run executes; a fused expand
+    // nests its marker, as on the columnar path.
+    std::deque<trace::ScopedSpan> spans;
+    std::vector<uint64_t> op_spans;
+    for (size_t i = head; i < end; ++i) {
+      const ir::OpKind kind = plan.ops[i].kind;
+      op_spans.push_back(
+          spans
+              .emplace_back(opts.trace, ir::OpKindName(kind), "operator",
+                            opts.trace_parent)
+              .id());
+      if (kind == ir::OpKind::kFusedExpand) {
+        FLEX_COUNTER_INC(metrics::kFusedExpandsTotal);
+        spans.emplace_back(opts.trace, "op.fused_expand", "operator",
+                           op_spans.back());
+      }
+    }
+    FLEX_RETURN_NOT_OK(
+        Apply(plan.ops[head], head == 0, &rows, opts, op_spans[0]));
+    std::vector<Row> out;
+    FLEX_RETURN_NOT_OK(StreamRows(plan, head + 1, end, std::move(rows),
+                                  std::span(op_spans).subspan(1), opts,
+                                  &out));
+    rows = std::move(out);
+    head = end;
   }
   return rows;
+}
+
+Status Interpreter::StreamRows(const ir::Plan& plan, size_t begin,
+                               size_t end, std::vector<Row> rows,
+                               std::span<const uint64_t> op_spans,
+                               const ExecOptions& opts,
+                               std::vector<Row>* out) const {
+  if (begin + 1 >= end) {
+    // The run's output is kept whole, so its last operator takes its
+    // input whole too.
+    if (begin < end) {
+      FLEX_RETURN_NOT_OK(
+          CheckRunnable(opts.deadline, opts.cancel, "interpreter"));
+      FLEX_RETURN_NOT_OK(
+          Apply(plan.ops[begin], false, &rows, opts, op_spans[0]));
+    }
+    if (out->empty()) {
+      *out = std::move(rows);
+    } else {
+      out->insert(out->end(), std::make_move_iterator(rows.begin()),
+                  std::make_move_iterator(rows.end()));
+    }
+    return Status::OK();
+  }
+  for (size_t first = 0; first < rows.size(); first += kReferenceChunk) {
+    FLEX_RETURN_NOT_OK(
+        CheckRunnable(opts.deadline, opts.cancel, "interpreter"));
+    const size_t last = std::min(first + kReferenceChunk, rows.size());
+    std::vector<Row> chunk(std::make_move_iterator(rows.begin() + first),
+                           std::make_move_iterator(rows.begin() + last));
+    FLEX_RETURN_NOT_OK(
+        Apply(plan.ops[begin], false, &chunk, opts, op_spans[0]));
+    FLEX_RETURN_NOT_OK(StreamRows(plan, begin + 1, end, std::move(chunk),
+                                  op_spans.subspan(1), opts, out));
+  }
+  return Status::OK();
 }
 
 Result<std::vector<Batch>> Interpreter::RunRangeBatched(
@@ -516,9 +605,8 @@ Status Interpreter::ApplyBatched(const ir::Op& op, bool leading,
         // Destination label and pushed conjuncts are checked inside the
         // storage visit; only survivors reach the builder.
         g.GetNeighborsBatch(
-            vids, op.dir, op.elabel, op.label, split.filter, {},
-            [](void* raw, size_t si, vid_t nbr,
-               std::span<const PropertyValue>) -> bool {
+            vids, op.dir, op.elabel, op.label, split.filter,
+            [](void* raw, size_t si, vid_t nbr) -> bool {
               auto* c = static_cast<Ctx*>(raw);
               c->builder->KeepVertex((*c->vrows)[si], nbr);
               return true;
@@ -992,12 +1080,8 @@ Status Interpreter::Apply(const ir::Op& op, bool leading,
     case ir::OpKind::kFusedExpand:
     case ir::OpKind::kExpand: {
       // The reference runs the fused expand as the plain expand (full
-      // predicate per extended row) under its marker span.
-      std::optional<trace::ScopedSpan> fused_span;
-      if (op.kind == ir::OpKind::kFusedExpand) {
-        FLEX_COUNTER_INC(metrics::kFusedExpandsTotal);
-        fused_span.emplace(opts.trace, "op.fused_expand", "operator", op_span);
-      }
+      // predicate per extended row); RunTupleAtATime opens its marker span
+      // once per execution, as this case runs once per chunk.
       std::vector<Row> out;
       for (Row& row : *rows) {
         const auto* vertex = std::get_if<ir::VertexRef>(&row[op.from_column]);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/deadline.h"
@@ -66,7 +67,10 @@ class Interpreter {
   /// Executes the full plan one row at a time, single-threaded and
   /// unsharded (`opts.morsels` is ignored). This is the reference the
   /// columnar path is held to: NaiveGraphDB runs on it, and the parity
-  /// suites require Run to match it bit for bit.
+  /// suites require Run to match it bit for bit. Streaming operators
+  /// (expansions, SELECT, PROJECT) take their input a small chunk at a
+  /// time, so memory follows the widest single step, not the product of
+  /// an unoptimized pattern's fan-outs.
   Result<std::vector<ir::Row>> RunTupleAtATime(
       const ir::Plan& plan, const ExecOptions& opts = {}) const;
 
@@ -90,6 +94,16 @@ class Interpreter {
   /// product) and so yields nothing from no rows.
   Status Apply(const ir::Op& op, bool leading, std::vector<ir::Row>* rows,
                const ExecOptions& opts, uint64_t op_span) const;
+
+  /// Feeds `rows` through the streaming operators [begin, end) of the
+  /// reference a chunk at a time, depth first, appending what the last
+  /// one emits to `out` in input order. `op_spans[k]` is operator
+  /// begin + k's span.
+  Status StreamRows(const ir::Plan& plan, size_t begin, size_t end,
+                    std::vector<ir::Row> rows,
+                    std::span<const uint64_t> op_spans,
+                    const ExecOptions& opts,
+                    std::vector<ir::Row>* out) const;
 
   Status ApplyBatched(const ir::Op& op, bool leading,
                       std::vector<ir::Batch>* batches, const ExecOptions& opts,

@@ -56,6 +56,9 @@ class CsrTopology {
   label_t VertexLabelOf(vid_t v) const;
   oid_t GetOid(vid_t v) const { return oids_[v]; }
   Result<vid_t> FindVertex(label_t label, oid_t oid) const;
+  /// FindVertex without the Status: kInvalidVid if absent. `label` must
+  /// be one of the schema's vertex labels.
+  vid_t Lookup(label_t label, oid_t oid) const;
 
   std::span<const vid_t> OutNeighbors(vid_t v, label_t edge_label) const {
     const EdgeCsr& c = edges_[edge_label];
@@ -116,7 +119,6 @@ class CsrTopology {
   Status BuildEdgeLabel(label_t src_label, label_t dst_label, size_t m,
                         const Endpoints& endpoints,
                         std::vector<size_t>* order);
-  vid_t Lookup(label_t label, oid_t oid) const;
 
   std::vector<vid_t> label_start_ = {0};  // size L+1
   std::vector<oid_t> oids_;               // vid -> oid

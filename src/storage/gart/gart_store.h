@@ -2,13 +2,12 @@
 #define FLEX_STORAGE_GART_GART_STORE_H_
 
 #include <atomic>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/stable_vector.h"
 #include "common/status.h"
 #include "graph/property_table.h"
@@ -16,49 +15,59 @@
 #include "graph/types.h"
 #include "grin/grin.h"
 #include "storage/mutable_store.h"
+#include "storage/vineyard/vineyard_store.h"
 
 namespace flex::storage {
 
 /// Mutable in-memory graph store with multi-version concurrency control,
-/// modelled on GART (§4.2): readers always observe a consistent snapshot
-/// identified by a version; writers append at `write_version` =
-/// `read_version + 1` and publish with CommitVersion().
+/// modelled on GART (§4.2): an immutable base plus append-only logs.
+/// Readers always observe a consistent snapshot identified by a version;
+/// writers stamp their records `read_version + 1` and publish them with
+/// CommitVersion().
 ///
-/// Adjacency layout is the paper's "efficient and mutable CSR-like data
-/// structure": per (vertex, edge label, direction) a *sealed* contiguous
-/// segment (compact, scan-friendly, no per-edge liveness checks in the
-/// common case) plus an append-only chain of fixed-size *delta blocks* for
-/// recent writes. Seal() merges deltas into the sealed segment.
+/// The base is the load-time graph as a VineyardStore (the shared
+/// CsrTopology plus Vineyard's property tables), read in place. What is
+/// written after it goes to logs beside it:
+///   - vertices take the vids after the base, with their rows in per-label
+///     tables;
+///   - each edge label keeps one log of edge and tombstone records. A
+///     vertex reaches its own records, newest first, through a chain head
+///     indexed by its position within its vertex label, so no vertex holds
+///     a slot for an edge label its label cannot carry. A vertex without a
+///     head reads its CSR slice exactly as Vineyard does;
+///   - each vertex property update appends to the (vid, col) override
+///     chain, so a read walks only its own chain before falling back to the
+///     base or added row.
+/// A tombstone deletes the edges to its neighbor appended before it, base
+/// edges included, so a delete-then-re-add within one batch leaves the
+/// re-add live. Base edge ids are forward-CSR positions, as on every CSR
+/// backend; a logged edge's id follows them by its record's log position.
 ///
-/// Concurrency: the topology read path (adjacency scans, degree counts,
-/// label-indexed vertex enumeration) is entirely lock-free — vertex-keyed
-/// arrays are append-only StableVectors, delta blocks publish entries via
-/// an atomic count (release/acquire), records are immutable once
-/// published, and deletions are tombstone records rather than in-place
-/// mutation. Point lookups that touch growable hash/column structures
-/// (oid index, vertex property tables) take a short shared lock; vertex
-/// insertion takes it exclusively. Seal() additionally requires reader
-/// quiescence: it rewrites sealed segments in place, so no snapshot may
-/// be concurrently read while sealing (commit, drain readers, seal).
+/// Concurrency: writers serialize on one mutex (DurableStore has a single
+/// writer anyway). The topology read path (adjacency scans, degree counts,
+/// label-indexed vertex enumeration) is lock-free: logs and chain heads are
+/// append-only StableVectors, a record is immutable once published and a
+/// head moves with a release store. Point lookups into growable hash and
+/// table structures (the added vertices' oid index and rows, the override
+/// chains) take a short shared lock, which writers take exclusively only
+/// while they change those structures.
 ///
 /// Edge properties: GART stores up to one double property (the weight) and
-/// one int64 property (e.g. a timestamp) inline in each edge record, which
-/// covers the dynamic-graph workloads of the paper (fraud detection's
-/// BUY.date). Richer edge schemas belong in the immutable Vineyard store.
+/// one int64 property (e.g. a timestamp) per logged edge, which covers the
+/// dynamic-graph workloads of the paper (fraud detection's BUY.date).
+/// Richer edge schemas belong in the immutable Vineyard store.
 class GartStore : public MutableGraphStore {
  public:
-  /// Rejects schemas whose edge labels carry unsupported property types.
+  /// An empty store at version 0. Rejects schemas whose edge labels carry
+  /// unsupported property types.
   static Result<std::unique_ptr<GartStore>> Create(const GraphSchema& schema);
 
-  /// Bulk-loads `data` and commits one version; seals by default (pass
-  /// seal = false to leave the load in delta blocks, the state of a store
-  /// that has been absorbing updates since its last compaction).
+  /// Builds `data` as the base and commits it as version 1. The base
+  /// carries no versions, so a snapshot pinned at version 0 reads it too.
   static Result<std::unique_ptr<GartStore>> Build(
-      const PropertyGraphData& data, bool seal = true);
+      const PropertyGraphData& data);
 
-  ~GartStore() override;
-
-  const GraphSchema& schema() const { return schema_; }
+  const GraphSchema& schema() const { return base_->schema(); }
 
   // -------------------------------------------------------------- writes
 
@@ -74,11 +83,10 @@ class GartStore : public MutableGraphStore {
   /// Tombstones all live (src)-[edge_label]->(dst) edges.
   Status DeleteEdge(label_t edge_label, oid_t src, oid_t dst);
 
-  /// Replaces vertex property `col` via an MVCC update chain: the base
-  /// table row keeps the load-time value, updates append versioned
-  /// overrides, and snapshots resolve the newest override with
-  /// create <= snapshot version (in-place table writes would leak new
-  /// values into old snapshots).
+  /// Replaces vertex property `col` by appending to its (vid, col)
+  /// override chain; snapshots resolve the newest override with
+  /// create <= snapshot version, else the load-time row (in-place table
+  /// writes would leak new values into old snapshots).
   Status UpdateProperty(label_t label, oid_t oid, uint32_t col,
                         const PropertyValue& value) override;
 
@@ -102,12 +110,6 @@ class GartStore : public MutableGraphStore {
   std::unique_ptr<grin::GrinGraph> PinSnapshot(
       version_t version) const override;
 
-  /// Merges delta blocks into sealed segments and drops history older
-  /// than the current read version. Requires full reader quiescence (no
-  /// snapshot may be read concurrently) and invalidates snapshots taken
-  /// at older versions.
-  void Seal();
-
   // --------------------------------------------------------------- reads
 
   version_t read_version() const override {
@@ -126,110 +128,98 @@ class GartStore : public MutableGraphStore {
  private:
   friend class GartSnapshot;
 
-  static constexpr version_t kNeverRemoved = ~version_t{0};
-  static constexpr size_t kDeltaBlockSize = 16;
-  static constexpr size_t kNumShards = 64;
-
-  struct DeltaEdge {
-    vid_t nbr;
-    uint8_t tombstone;  ///< 1 => deletes live edges to `nbr` as of `create`.
+  /// One edge or tombstone of an edge label's log. Chain links are record
+  /// ids: 1 + the record's log position, with 0 ending a chain.
+  struct Record {
+    vid_t src;
+    vid_t dst;
+    uint32_t next_out;  ///< src's previous record in this log.
+    uint32_t next_in;   ///< dst's previous record in this log.
     double weight;
     int64_t ts;
-    eid_t eid;
     version_t create;
+    bool tombstone;  ///< Deletes src->dst edges appended before it.
   };
 
-  struct DeltaBlock {
-    std::atomic<uint32_t> count{0};
-    DeltaEdge edges[kDeltaBlockSize];
-    std::atomic<DeltaBlock*> next{nullptr};
+  struct EdgeLog {
+    StableVector<Record, 4096> records;
+    /// Newest record id per vertex, by position within the edge label's
+    /// source (out) or destination (in) label; grown only as far as the
+    /// last vertex with a record.
+    StableVector<std::atomic<uint32_t>> out_heads;
+    StableVector<std::atomic<uint32_t>> in_heads;
+    std::atomic<bool> has_tombstones{false};  ///< Sticky.
+    eid_t base_edges = 0;  ///< Logged edge ids start here.
   };
 
-  /// Adjacency of one (vertex, edge label, direction).
-  struct Adj {
-    // Sealed segment: contiguous arrays, all entries created at or before
-    // sealed_version_ of the store and not removed before it.
-    std::vector<vid_t> s_nbrs;
-    std::vector<double> s_weights;
-    std::vector<int64_t> s_ts;
-    std::vector<eid_t> s_eids;
-    std::atomic<DeltaBlock*> delta_head{nullptr};
-    DeltaBlock* delta_tail = nullptr;  // Guarded by the shard lock.
-    bool has_tombstones = false;       // Sticky once a delete lands here.
-
-    Adj() = default;
-    Adj(Adj&& other) noexcept;
-    Adj& operator=(Adj&&) = delete;
+  struct AddedVertex {
+    oid_t oid;
+    version_t create;
+    uint32_t row;  ///< Row in its label's added table.
+    label_t label;
   };
 
-  explicit GartStore(GraphSchema schema);
+  /// One vertex property override; `next` is 1 + the index of the (vid,
+  /// col) chain's previous override, or 0.
+  struct Override {
+    PropertyValue value;
+    version_t create;
+    uint32_t next;
+  };
 
-  Adj& AdjOf(label_t edge_label, Direction dir, vid_t v) {
-    auto& per_label = adjacency_[edge_label];
-    return dir == Direction::kOut ? per_label.out[v] : per_label.in[v];
+  explicit GartStore(std::unique_ptr<VineyardStore> base);
+
+  static Result<std::unique_ptr<GartStore>> FromData(
+      const PropertyGraphData& data);
+
+  const CsrTopology& topology() const { return base_->topology(); }
+  label_t LabelOf(vid_t v) const {
+    return v < base_vertices_ ? topology().VertexLabelOf(v)
+                              : added_[v - base_vertices_].label;
   }
-  const Adj& AdjOf(label_t edge_label, Direction dir, vid_t v) const {
-    auto& per_label = adjacency_[edge_label];
-    return dir == Direction::kOut ? per_label.out[v] : per_label.in[v];
-  }
+  /// v's position within `label` (base vertices first, then added ones in
+  /// order), or kInvalidVid if v carries another label.
+  vid_t PositionIn(label_t label, vid_t v) const;
+  /// Id of v's newest record in `edge_label`'s log for `dir`; 0 if none.
+  uint32_t Head(label_t edge_label, Direction dir, vid_t v) const;
 
-  /// Appends a record to `adj`'s delta chain. Caller holds the shard lock
-  /// covering the owning vertex.
-  void AppendDelta(Adj* adj, const DeltaEdge& edge);
+  /// Writer side (write_mu_ held): the vid of (label, oid), committed or
+  /// not, or kInvalidVid.
+  vid_t FindForWrite(label_t label, oid_t oid) const;
+  /// Writer side: appends `record` and moves both endpoints' heads to it.
+  void Append(label_t edge_label, Record record);
 
-  std::mutex& ShardLock(vid_t v) const {
-    return shard_locks_[v % kNumShards];
-  }
+  /// Visits v's edges visible at `version`; returns false on early stop.
+  bool ScanAdj(vid_t v, Direction dir, label_t edge_label, version_t version,
+               grin::AdjVisitor visitor, void* ctx) const;
+  size_t CountAdj(vid_t v, Direction dir, label_t edge_label,
+                  version_t version) const;
+  /// Caller holds mu_ (shared).
+  PropertyValue VertexProperty(vid_t v, size_t col, version_t version) const;
+  PropertyValue EdgeProperty(label_t edge_label, eid_t e, size_t col) const;
 
-  /// Visits live edges of `adj` at `version`; returns false on early stop.
-  bool ScanAdj(const Adj& adj, version_t version, grin::AdjVisitor visitor,
-               void* ctx) const;
-  size_t CountAdj(const Adj& adj, version_t version) const;
-
-  GraphSchema schema_;
+  const std::unique_ptr<VineyardStore> base_;
+  const vid_t base_vertices_;
   /// Maps (edge label, property col) -> 0 (weight) or 1 (ts).
   std::vector<std::vector<int>> edge_prop_kind_;
-
-  /// Guards the growable point-lookup structures only (oid_index_ and
-  /// vertex_tables_); topology scans never take it.
-  mutable std::shared_mutex mu_;
+  std::unique_ptr<EdgeLog[]> logs_;  // per edge label
   std::atomic<version_t> committed_{0};
 
-  /// One MVCC property override; the chain is append-only and scanned
-  /// newest-first by snapshots. Guarded by mu_ (same lock as the tables).
-  struct PropUpdate {
-    vid_t vid;
-    uint32_t col;
-    version_t create;
-    PropertyValue value;
-  };
+  /// Serializes writers.
+  Mutex write_mu_;
+  /// Guards oid_index_, added_tables_, overrides_ and override_heads_:
+  /// readers share it, writers hold it exclusively while they change them.
+  mutable std::shared_mutex mu_;
 
-  // Vertex data: append-only, lock-free reads (writers serialize on mu_).
-  StableVector<oid_t> oids_;
-  StableVector<label_t> vertex_labels_;
-  StableVector<version_t> vertex_create_;
-  std::vector<StableVector<vid_t>> label_vertices_;            // per label
-  std::vector<std::unordered_map<oid_t, vid_t>> oid_index_;    // per label
-  std::vector<PropertyTable> vertex_tables_;                   // per label
-  StableVector<size_t> vertex_row_;  // vid -> row in its label's table
-  std::vector<PropUpdate> prop_updates_;  // MVCC overrides, guarded by mu_
+  // Added vertices: append-only, lock-free reads.
+  StableVector<AddedVertex> added_;                // vid - base_vertices_
+  std::vector<StableVector<vid_t>> label_added_;  // per label, in order
+  std::vector<std::unordered_map<oid_t, vid_t>> oid_index_;  // per label
+  std::vector<PropertyTable> added_tables_;                  // per label
 
-  struct PerLabelAdjacency {
-    StableVector<Adj> out;  // Indexed by vid; stable under growth.
-    StableVector<Adj> in;
-  };
-  mutable std::vector<PerLabelAdjacency> adjacency_;  // per edge label
-
-  /// Row-addressable (weight, ts) pairs per edge label; eid = row index.
-  /// Own lock: cold path (GetEdgeProperty), hot adjacency scans read the
-  /// inline copies in the edge records instead.
-  struct EdgePropStore {
-    mutable std::shared_mutex mu;
-    std::deque<std::pair<double, int64_t>> rows;
-  };
-  mutable std::vector<EdgePropStore> eprops_;  // per edge label
-
-  mutable std::mutex* shard_locks_;  // kNumShards mutexes.
+  std::vector<Override> overrides_;
+  /// (vid << 32 | col) -> 1 + index of the chain's newest override.
+  std::unordered_map<uint64_t, uint32_t> override_heads_;
 };
 
 }  // namespace flex::storage

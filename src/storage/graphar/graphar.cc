@@ -555,8 +555,7 @@ class GraphArDirectGraph final : public storage::CsrGrinGraph {
   uint32_t capabilities() const override {
     return grin::kVertexListArray | grin::kAdjacentListArray |
            grin::kAdjacentListIterator | grin::kVertexProperty |
-           grin::kEdgeProperty | grin::kOidIndex | grin::kLabelIndex |
-           grin::kPredicatePushdown;
+           grin::kEdgeProperty | grin::kOidIndex | grin::kLabelIndex;
   }
 
   const GraphSchema& schema() const override { return reader_->schema(); }

@@ -20,10 +20,10 @@ namespace flex::storage {
 /// version pair that readers must check on every edge, and deletions leave
 /// in-place tombstones until (never-run) compaction.
 ///
-/// This is the comparator for Exp-1 / Fig 7(c): GART's sealed segments
-/// skip the per-edge version checks on the common path, LiveGraph pays
-/// them on every record — which is the architectural delta the paper's
-/// 3.88x read-throughput gap comes from.
+/// This is the comparator for Exp-1 / Fig 7(c): GART's CSR base skips
+/// the per-edge version checks on the common path, LiveGraph pays them on
+/// every record — which is the architectural delta the paper's 3.88x
+/// read-throughput gap comes from.
 ///
 /// Simple-graph model (no labels/properties beyond weight): the scan
 /// benchmark exercises raw topology throughput. Vertex ids double as oids

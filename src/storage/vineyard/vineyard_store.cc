@@ -53,9 +53,6 @@ class VineyardGrin final : public CsrGrinGraph {
   std::string backend_name() const override { return "vineyard"; }
 
   uint32_t capabilities() const override {
-    // No kPredicatePushdown: fused scans and expands run the same filtered
-    // visits here as on every backend, but Vineyard's batched property
-    // read is its scalar read in a loop, so pushdown amortizes nothing.
     // No kPartitionedGraph: a store is one unpartitioned graph.
     return grin::kVertexListArray | grin::kAdjacentListArray |
            grin::kAdjacentListIterator | grin::kVertexProperty |

@@ -575,20 +575,18 @@ TEST(BackendParityTest, FilteredWindowsMatchAScalarReference) {
   }
 }
 
-/// One filtered batched expansion, rendered as
-/// "src_index|nbr|type:value|..." per surviving neighbor.
+/// One filtered batched expansion, rendered as "src_index|nbr" per
+/// surviving neighbor.
 std::vector<std::string> FilteredNeighbors(const grin::GrinGraph& g,
                                            std::span<const vid_t> vids,
                                            Direction dir, label_t dst_label,
-                                           const grin::VertexFilter& filter,
-                                           std::span<const size_t> cols) {
+                                           const grin::VertexFilter& filter) {
   std::vector<std::string> out;
   EXPECT_TRUE(g.GetNeighborsBatch(
-      vids, dir, 0, dst_label, filter, cols,
-      [](void* raw, size_t src_index, vid_t nbr,
-         std::span<const PropertyValue> props) -> bool {
-        static_cast<std::vector<std::string>*>(raw)->push_back(Render(
-            std::to_string(src_index) + "|" + std::to_string(nbr), props));
+      vids, dir, 0, dst_label, filter,
+      [](void* raw, size_t src_index, vid_t nbr) -> bool {
+        static_cast<std::vector<std::string>*>(raw)->push_back(
+            std::to_string(src_index) + "|" + std::to_string(nbr));
         return true;
       },
       &out));
@@ -600,8 +598,7 @@ std::vector<std::string> FilteredNeighbors(const grin::GrinGraph& g,
 std::vector<std::string> ReferenceNeighbors(const grin::GrinGraph& g,
                                             std::span<const vid_t> vids,
                                             Direction dir, label_t dst_label,
-                                            const grin::VertexFilter& filter,
-                                            std::span<const size_t> cols) {
+                                            const grin::VertexFilter& filter) {
   std::vector<std::string> out;
   for (size_t i = 0; i < vids.size(); ++i) {
     for (const Direction d : {Direction::kOut, Direction::kIn}) {
@@ -611,8 +608,7 @@ std::vector<std::string> ReferenceNeighbors(const grin::GrinGraph& g,
           return;
         }
         if (!ScalarMatches(g, filter, nbr)) return;
-        out.push_back(Render(std::to_string(i) + "|" + std::to_string(nbr),
-                             ScalarProject(g, nbr, cols)));
+        out.push_back(std::to_string(i) + "|" + std::to_string(nbr));
       });
     }
   }
@@ -622,8 +618,6 @@ std::vector<std::string> ReferenceNeighbors(const grin::GrinGraph& g,
 TEST(BackendParityTest, FilteredNeighborBatchesMatchAScalarReference) {
   const std::vector<Backend> backends = PropertyBackends(LabelledGraph());
   const std::vector<grin::VertexFilter> filters = TestFilters();
-  const std::vector<size_t> no_cols;
-  const std::vector<size_t> cols = {1, 0};
 
   for (const Backend& b : backends) {
     SCOPED_TRACE(b.name);
@@ -641,23 +635,16 @@ TEST(BackendParityTest, FilteredNeighborBatchesMatchAScalarReference) {
           SCOPED_TRACE("dir " + std::to_string(static_cast<int>(dir)) +
                        " dst_label " + std::to_string(dst_label) +
                        " filter " + std::to_string(f));
-          for (const std::span<const size_t> project : {std::span(no_cols),
-                                                        std::span(cols)}) {
-            const std::span<const vid_t> all(sources);
-            for (size_t begin = 0; begin < all.size(); begin += 7) {
-              const auto part =
-                  all.subspan(begin, std::min<size_t>(7, all.size() - begin));
-              EXPECT_EQ(FilteredNeighbors(g, part, dir, dst_label,
-                                          filters[f], project),
-                        ReferenceNeighbors(g, part, dir, dst_label,
-                                           filters[f], project))
-                  << "sources from " << begin;
-            }
-            EXPECT_EQ(
-                FilteredNeighbors(g, all, dir, dst_label, filters[f], project),
-                ReferenceNeighbors(g, all, dir, dst_label, filters[f],
-                                   project));
+          const std::span<const vid_t> all(sources);
+          for (size_t begin = 0; begin < all.size(); begin += 7) {
+            const auto part =
+                all.subspan(begin, std::min<size_t>(7, all.size() - begin));
+            EXPECT_EQ(FilteredNeighbors(g, part, dir, dst_label, filters[f]),
+                      ReferenceNeighbors(g, part, dir, dst_label, filters[f]))
+                << "sources from " << begin;
           }
+          EXPECT_EQ(FilteredNeighbors(g, all, dir, dst_label, filters[f]),
+                    ReferenceNeighbors(g, all, dir, dst_label, filters[f]));
         }
       }
     }

@@ -2,8 +2,9 @@
 // commit pipeline (torn WAL append, lost fsync, mid-apply death) and
 // assert the recovered store is bit-identical — SnapshotFingerprint and
 // epoch — to an uninterrupted run that stops at the same durable batch.
-// Both dynamic backends, schedules scripted from FLEX_CHAOS_SEED (the
-// `tools/check.sh crash` mode loops seeds 1 7 23 101 under ASan+UBSan).
+// Both dynamic backends, GART also replayed onto a built base, schedules
+// scripted from FLEX_CHAOS_SEED (the `tools/check.sh crash` mode loops
+// seeds 1 7 23 101 under ASan+UBSan).
 
 #include <atomic>
 #include <cstdint>
@@ -47,19 +48,78 @@ struct Script {
   std::vector<std::vector<Op>> batches;
 };
 
+/// The stores under test: GART from Create, LiveGraph, and GART built from
+/// BaseGraph(), whose WAL replays onto that base as the htap recovery
+/// does.
+enum class Backend { kGart, kLiveGraph, kGartBuilt };
+
+bool IsGart(Backend backend) { return backend != Backend::kLiveGraph; }
+
+/// The epoch a fresh backend starts at: Build publishes its base as one.
+version_t BaseEpoch(Backend backend) {
+  return backend == Backend::kGartBuilt ? 1 : 0;
+}
+
+GraphSchema GartSchema();
+
+/// The built backend's base: vertices 0..7 and the ring i -> i + 1.
+PropertyGraphData BaseGraph() {
+  PropertyGraphData data;
+  data.schema = GartSchema();
+  for (oid_t i = 0; i < 8; ++i) {
+    data.AddVertex(0, i, {PropertyValue("b" + std::to_string(i))});
+  }
+  for (oid_t i = 0; i < 8; ++i) {
+    data.AddEdge(0, i, (i + 1) % 8,
+                 {PropertyValue(i / 2.0), PropertyValue(int64_t{i})});
+  }
+  return data;
+}
+
 /// Deterministic mixed workload honouring each backend's shape rules
-/// (LiveGraph: dense oids, no properties; GART: sparse oids, updates).
-Script MakeScript(uint64_t seed, bool gart, int num_batches) {
-  Rng rng(seed * 1000003 + (gart ? 1 : 2));
+/// (LiveGraph: dense oids, no properties; GART: sparse oids, updates). On
+/// the built base every batch also updates a base vertex and deletes a
+/// base edge while one is left.
+Script MakeScript(uint64_t seed, Backend backend, int num_batches) {
+  const bool gart = IsGart(backend);
+  const bool built = backend == Backend::kGartBuilt;
+  Rng rng(seed * 1000003 + (built ? 3 : gart ? 1 : 2));
   Script script;
   std::vector<oid_t> vertices;
   std::vector<std::pair<oid_t, oid_t>> edges;
+  std::vector<std::pair<oid_t, oid_t>> base_edges;
   oid_t next_dense = 2;  // LiveGraph backends start with vertices {0, 1}.
   if (!gart) {
     vertices = {0, 1};
   }
+  if (built) {
+    const PropertyGraphData base = BaseGraph();
+    vertices = base.vertices[0].oids;
+    for (size_t i = 0; i < base.edges[0].src_oids.size(); ++i) {
+      base_edges.emplace_back(base.edges[0].src_oids[i],
+                              base.edges[0].dst_oids[i]);
+    }
+    edges = base_edges;
+  }
   for (int b = 0; b < num_batches; ++b) {
     std::vector<Op>& ops = script.batches.emplace_back();
+    if (built) {
+      Op update;
+      update.kind = Op::kUpdate;
+      update.a = vertices[rng.Uniform(8)];
+      update.name = "base" + std::to_string(b);
+      ops.push_back(update);
+      if (!base_edges.empty()) {
+        Op remove;
+        remove.kind = Op::kRemove;
+        const auto e = base_edges[rng.Uniform(base_edges.size())];
+        remove.a = e.first;
+        remove.b = e.second;
+        ops.push_back(remove);
+        std::erase(base_edges, e);
+        std::erase(edges, e);
+      }
+    }
     const int new_vertices = 1 + static_cast<int>(rng.Uniform(2));
     for (int i = 0; i < new_vertices; ++i) {
       Op op;
@@ -166,18 +226,19 @@ GraphSchema GartSchema() {
 
 /// Fresh backend in the WAL's base state — every open of a WAL must start
 /// from the same base state, per the DurableStore::Open contract.
-std::shared_ptr<MutableGraphStore> FreshBackend(bool gart) {
-  if (gart) {
-    auto store = GartStore::Create(GartSchema());
-    EXPECT_TRUE(store.ok());
-    return std::shared_ptr<MutableGraphStore>(std::move(store).value());
+std::shared_ptr<MutableGraphStore> FreshBackend(Backend backend) {
+  if (backend == Backend::kLiveGraph) {
+    return std::make_shared<LiveGraphStore>(2);
   }
-  return std::make_shared<LiveGraphStore>(2);
+  auto store = backend == Backend::kGart ? GartStore::Create(GartSchema())
+                                         : GartStore::Build(BaseGraph());
+  EXPECT_TRUE(store.ok());
+  return std::shared_ptr<MutableGraphStore>(std::move(store).value());
 }
 
 // ----------------------------------------------------------- the harness
 
-class CrashRecoveryTest : public ::testing::TestWithParam<bool> {
+class CrashRecoveryTest : public ::testing::TestWithParam<Backend> {
  protected:
   void SetUp() override { fault::Injector::Instance().DisarmAll(); }
   void TearDown() override {
@@ -203,17 +264,18 @@ class CrashRecoveryTest : public ::testing::TestWithParam<bool> {
 /// recovers, and asserts bit-identity with an uninterrupted run truncated
 /// to the durable prefix. `apply_site` marks the post-durability site: a
 /// crash there keeps the in-flight batch.
-void RunCrashAndRecover(bool gart, const std::string& site, uint64_t nth,
-                        bool apply_site, const std::string& wal) {
-  SCOPED_TRACE(site + " nth=" + std::to_string(nth) +
-               (gart ? " [gart]" : " [livegraph]"));
-  const Script script = MakeScript(ChaosSeed(), gart, /*num_batches=*/12);
+void RunCrashAndRecover(Backend backend, const std::string& site,
+                        uint64_t nth, bool apply_site,
+                        const std::string& wal) {
+  SCOPED_TRACE(site + " nth=" + std::to_string(nth));
+  const bool gart = IsGart(backend);
+  const Script script = MakeScript(ChaosSeed(), backend, /*num_batches=*/12);
 
   // --- the interrupted run -------------------------------------------
   int committed = 0;
   bool crashed = false;
   {
-    auto ds = DurableStore::Open(FreshBackend(gart), wal);
+    auto ds = DurableStore::Open(FreshBackend(backend), wal);
     ASSERT_TRUE(ds.ok()) << ds.status().message();
     fault::Policy policy;  // kFail on hit window [nth, nth+1).
     policy.nth = nth;
@@ -242,15 +304,15 @@ void RunCrashAndRecover(bool gart, const std::string& site, uint64_t nth,
   const int durable = committed + (apply_site ? 1 : 0);
 
   // --- recovery -------------------------------------------------------
-  auto recovered = DurableStore::Open(FreshBackend(gart), wal);
+  auto recovered = DurableStore::Open(FreshBackend(backend), wal);
   ASSERT_TRUE(recovered.ok()) << recovered.status().message();
   EXPECT_EQ(recovered.value()->read_version(),
-            static_cast<version_t>(durable));
+            BaseEpoch(backend) + static_cast<version_t>(durable));
   EXPECT_EQ(recovered.value()->recovery_stats().committed_batches,
             static_cast<uint64_t>(durable));
 
   // --- the uninterrupted reference ------------------------------------
-  auto reference = FreshBackend(gart);
+  auto reference = FreshBackend(backend);
   for (int b = 0; b < durable; ++b) {
     ApplyBatchDirect(reference.get(), script.batches[b], gart);
   }
@@ -275,7 +337,7 @@ void RunCrashAndRecover(bool gart, const std::string& site, uint64_t nth,
       SnapshotFingerprint(*recovered.value()->PinSnapshot());
   EXPECT_EQ(final_fp, SnapshotFingerprint(*reference->PinSnapshot()));
 
-  auto reopened = DurableStore::Open(FreshBackend(gart), wal);
+  auto reopened = DurableStore::Open(FreshBackend(backend), wal);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
   EXPECT_EQ(SnapshotFingerprint(*reopened.value()->PinSnapshot()), final_fp);
   EXPECT_EQ(reopened.value()->read_version(), reference->read_version());
@@ -304,16 +366,17 @@ TEST_P(CrashRecoveryTest, ApplyCrashKeepsDurableBatch) {
 TEST_P(CrashRecoveryTest, BackToBackCrashesStayConsistent) {
   // Crash, recover, crash again at a later point, recover again — the
   // second recovery must still match an uninterrupted reference.
-  const bool gart = GetParam();
+  const Backend backend = GetParam();
+  const bool gart = IsGart(backend);
   const std::string wal = TempWalPath();
-  const Script script = MakeScript(ChaosSeed() + 77, gart, 10);
+  const Script script = MakeScript(ChaosSeed() + 77, backend, 10);
 
   int committed = 0;
   for (int round = 0; round < 2; ++round) {
-    auto ds = DurableStore::Open(FreshBackend(gart), wal);
+    auto ds = DurableStore::Open(FreshBackend(backend), wal);
     ASSERT_TRUE(ds.ok()) << ds.status().message();
     ASSERT_EQ(ds.value()->read_version(),
-              static_cast<version_t>(committed));
+              BaseEpoch(backend) + static_cast<version_t>(committed));
     fault::Policy policy;
     policy.nth = 2 + static_cast<uint64_t>(round);
     fault::Injector::Instance().Arm("wal.append", policy);
@@ -328,9 +391,9 @@ TEST_P(CrashRecoveryTest, BackToBackCrashesStayConsistent) {
     fault::Injector::Instance().DisarmAll();
   }
 
-  auto recovered = DurableStore::Open(FreshBackend(gart), wal);
+  auto recovered = DurableStore::Open(FreshBackend(backend), wal);
   ASSERT_TRUE(recovered.ok());
-  auto reference = FreshBackend(gart);
+  auto reference = FreshBackend(backend);
   for (int b = 0; b < committed; ++b) {
     ApplyBatchDirect(reference.get(), script.batches[b], gart);
   }
@@ -338,11 +401,21 @@ TEST_P(CrashRecoveryTest, BackToBackCrashesStayConsistent) {
             SnapshotFingerprint(*reference->PinSnapshot()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, CrashRecoveryTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Gart" : "LiveGraph";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Backends, CrashRecoveryTest,
+    ::testing::Values(Backend::kGart, Backend::kLiveGraph,
+                      Backend::kGartBuilt),
+    [](const ::testing::TestParamInfo<Backend>& info) -> std::string {
+      switch (info.param) {
+        case Backend::kGart:
+          return "Gart";
+        case Backend::kLiveGraph:
+          return "LiveGraph";
+        case Backend::kGartBuilt:
+          return "GartBuilt";
+      }
+      return "";
+    });
 
 }  // namespace
 }  // namespace flex::storage

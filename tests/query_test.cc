@@ -688,6 +688,39 @@ TEST_F(QueryTest, OverlongNumericLiteralsAreParseErrors) {
   EXPECT_EQ(RowsToStrings(rows.value()), (std::vector<std::string>{"B2"}));
 }
 
+/// `depth` copies of `open`, then `inner`, then one ')' per copy.
+std::string Nested(const std::string& open, size_t depth,
+                   const std::string& inner) {
+  std::string text;
+  for (size_t i = 0; i < depth; ++i) text += open;
+  return text + inner + std::string(depth, ')');
+}
+
+TEST_F(QueryTest, DeeplyNestedParenthesesAreParseErrors) {
+  // 5,000 parentheses in a WHERE come back as kParseError, not a stack
+  // overflow; shallow nesting still parses and runs.
+  EXPECT_EQ(RunCypher("MATCH (b:Buyer) WHERE " +
+                      Nested("(", 5000, "b.credits > 15") +
+                      " RETURN b.username")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  auto rows = RunCypher("MATCH (b:Buyer) WHERE " +
+                        Nested("(NOT ", 99, "NOT b.credits > 15") +
+                        " RETURN b.username ORDER BY b.username");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(RowsToStrings(rows.value()),
+            (std::vector<std::string>{"B2", "C3", "D4"}));
+}
+
+TEST_F(QueryTest, DeeplyNestedArithmeticIsAParseError) {
+  // `(1 + ` nested 20,000 deep in a RETURN.
+  EXPECT_EQ(RunCypher("MATCH (b:Buyer) RETURN " + Nested("(1 + ", 20000, "1"))
+                .status()
+                .code(),
+            StatusCode::kParseError);
+}
+
 // ----------------------------------------------------- Randomized check
 
 TEST_F(QueryTest, RandomGraphTwoHopAgainstBruteForce) {

@@ -12,6 +12,8 @@
 #include "common/random.h"
 #include "common/varint.h"
 #include "datagen/generators.h"
+#include "snb/snb.h"
+#include "storage/durable_store.h"
 #include "storage/gart/gart_store.h"
 #include "storage/graphar/csv.h"
 #include "storage/graphar/encoding.h"
@@ -233,7 +235,7 @@ TEST(GartTest, DeleteTombstonesRespectVersions) {
   EXPECT_EQ(snap2->Degree(vid1, Direction::kOut, e), 0u);
 }
 
-TEST(GartTest, SealPreservesLiveEdgesAndDropsTombstones) {
+TEST(GartTest, TombstonesDropLoggedAndBaseEdges) {
   GraphSchema schema;
   label_t v = schema.AddVertexLabel("V", {}).value();
   label_t e = schema.AddEdgeLabel("E", v, v, {}).value();
@@ -244,12 +246,25 @@ TEST(GartTest, SealPreservesLiveEdgesAndDropsTombstones) {
   ASSERT_TRUE(store->DeleteEdge(e, 0, 1).ok());
   store->CommitVersion();
   EXPECT_EQ(store->CountEdges(e), 8u);
-  store->Seal();
-  EXPECT_EQ(store->CountEdges(e), 8u);
-  // Sealed store keeps serving reads and accepting new writes.
-  ASSERT_TRUE(store->AddEdge(e, 0, 5).ok());
-  store->CommitVersion();
-  EXPECT_EQ(store->CountEdges(e), 9u);
+
+  // The same path as base edges: a built store keeps serving reads and
+  // accepting writes while its base edges are deleted and re-added
+  // through the log.
+  PropertyGraphData data;
+  data.schema = schema;
+  for (oid_t i = 0; i < 10; ++i) data.AddVertex(v, i, {});
+  for (oid_t i = 0; i < 9; ++i) data.AddEdge(e, i, i + 1, {});
+  auto built = GartStore::Build(data).value();
+  ASSERT_TRUE(built->DeleteEdge(e, 0, 1).ok());
+  built->CommitVersion();
+  EXPECT_EQ(built->CountEdges(e), 8u);
+  ASSERT_TRUE(built->DeleteEdge(e, 2, 3).ok());
+  ASSERT_TRUE(built->AddEdge(e, 2, 3).ok());
+  built->CommitVersion();
+  EXPECT_EQ(built->CountEdges(e), 8u);
+  ASSERT_TRUE(built->AddEdge(e, 0, 5).ok());
+  built->CommitVersion();
+  EXPECT_EQ(built->CountEdges(e), 9u);
 }
 
 TEST(GartTest, InlineEdgeProperties) {
@@ -347,40 +362,52 @@ TEST(GartTest, ConcurrentReadersAndWriters) {
 
 class GartDeltaBoundary : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(GartDeltaBoundary, ScansAcrossDeltaBlockBoundaries) {
-  // Delta blocks hold 16 records; degrees straddling multiples of 16 must
-  // scan correctly sealed and unsealed.
+TEST_P(GartDeltaBoundary, ScansAcrossChunkBoundaries) {
+  // Logged and tombstone-filtered edges are emitted 64 at a time; degrees
+  // on either side of a chunk boundary must scan correctly whether the
+  // edges were logged or are base edges deleted and re-added through the
+  // log.
   const size_t degree = GetParam();
   GraphSchema schema;
   label_t v = schema.AddVertexLabel("V", {}).value();
   label_t e = schema.AddEdgeLabel("E", v, v, {}).value();
-  auto store = storage::GartStore::Create(schema).value();
-  ASSERT_TRUE(store->AddVertex(v, 0, {}).ok());
+  auto logged = storage::GartStore::Create(schema).value();
+  ASSERT_TRUE(logged->AddVertex(v, 0, {}).ok());
+  PropertyGraphData data;
+  data.schema = schema;
+  data.AddVertex(v, 0, {});
   for (size_t i = 0; i < degree; ++i) {
-    ASSERT_TRUE(store->AddVertex(v, static_cast<oid_t>(i + 1), {}).ok());
-    ASSERT_TRUE(store->AddEdge(e, 0, static_cast<oid_t>(i + 1)).ok());
+    const auto dst = static_cast<oid_t>(i + 1);
+    ASSERT_TRUE(logged->AddVertex(v, dst, {}).ok());
+    ASSERT_TRUE(logged->AddEdge(e, 0, dst).ok());
+    data.AddVertex(v, dst, {});
+    data.AddEdge(e, 0, dst, {});
   }
-  store->CommitVersion();
+  logged->CommitVersion();
 
   auto count_from_source = [&](const grin::GrinGraph& g) {
     size_t n = 0;
     const vid_t src = g.FindVertex(v, 0).value();
     grin::ForEachAdj(g, src, Direction::kOut, e,
                      [&](vid_t, double, eid_t) { ++n; return true; });
+    EXPECT_EQ(g.Degree(src, Direction::kOut, e), n);
     return n;
   };
-  auto unsealed = store->GetSnapshot();
-  EXPECT_EQ(count_from_source(*unsealed), degree);
-  EXPECT_EQ(unsealed->Degree(unsealed->FindVertex(v, 0).value(),
-                             Direction::kOut, e),
-            degree);
-  store->Seal();
-  auto sealed = store->GetSnapshot();
-  EXPECT_EQ(count_from_source(*sealed), degree);
+  EXPECT_EQ(count_from_source(*logged->GetSnapshot()), degree);
+
+  auto built = storage::GartStore::Build(data).value();
+  EXPECT_EQ(count_from_source(*built->GetSnapshot()), degree);
+  for (size_t i = 0; i < degree; ++i) {
+    ASSERT_TRUE(built->DeleteEdge(e, 0, static_cast<oid_t>(i + 1)).ok());
+    ASSERT_TRUE(built->AddEdge(e, 0, static_cast<oid_t>(i + 1)).ok());
+  }
+  built->CommitVersion();
+  EXPECT_EQ(count_from_source(*built->GetSnapshot()), degree);
 }
 
 INSTANTIATE_TEST_SUITE_P(Boundaries, GartDeltaBoundary,
-                         ::testing::Values(1, 15, 16, 17, 31, 32, 33, 100));
+                         ::testing::Values(1, 15, 16, 17, 31, 32, 33, 63, 64,
+                                           65, 100, 128, 129));
 
 TEST(GartTest, EarlyStopInChunkedScan) {
   EdgeList list = datagen::GenerateUniform(50, 1000, 3);
@@ -390,6 +417,303 @@ TEST(GartTest, EarlyStopInChunkedScan) {
   grin::ForEachAdj(*snap, 0, Direction::kOut, 0,
                    [&](vid_t, double, eid_t) { return ++seen < 3; });
   EXPECT_LE(seen, 3u);
+}
+
+/// Everything a reader sees of `g`, one sorted line per fact and keyed by
+/// oids, so stores that number vertices and edges differently compare
+/// equal: per label its visible count; per vertex its properties, whether
+/// its oid finds it, and for each edge label and direction it can carry,
+/// its degree and its sorted edges as "neighbor oid|edge properties read
+/// by id".
+std::vector<std::string> VisibleState(const grin::GrinGraph& g) {
+  const GraphSchema& schema = g.schema();
+  std::vector<std::string> lines;
+  for (label_t l = 0; l < schema.vertex_label_num(); ++l) {
+    const size_t n = g.NumVerticesOfLabel(l);
+    lines.push_back(std::to_string(l) + " count " + std::to_string(n));
+    std::vector<vid_t> vids;
+    g.VisitVertices(
+        l, 0, n,
+        [](void* raw, vid_t v) {
+          static_cast<std::vector<vid_t>*>(raw)->push_back(v);
+          return true;
+        },
+        &vids);
+    for (const vid_t v : vids) {
+      const std::string key =
+          std::to_string(l) + ":" + std::to_string(g.GetOid(v));
+      std::string props = key + " props";
+      for (size_t c = 0; c < schema.vertex_label(l).properties.size(); ++c) {
+        props += "|" + g.GetVertexProperty(v, c).ToString();
+      }
+      lines.push_back(props);
+      const auto found = g.FindVertex(l, g.GetOid(v));
+      lines.push_back(key + " found " +
+                      std::to_string(found.ok() && found.value() == v));
+      for (label_t el = 0; el < schema.edge_label_num(); ++el) {
+        const EdgeLabelDef& def = schema.edge_label(el);
+        for (const Direction dir : {Direction::kOut, Direction::kIn}) {
+          if ((dir == Direction::kOut ? def.src_label : def.dst_label) != l) {
+            continue;
+          }
+          std::vector<std::string> edges;
+          grin::ForEachAdj(g, v, dir, el, [&](vid_t nbr, double, eid_t e) {
+            std::string edge = std::to_string(g.GetOid(nbr));
+            for (size_t c = 0; c < def.properties.size(); ++c) {
+              edge += "|" + g.GetEdgeProperty(el, e, c).ToString();
+            }
+            edges.push_back(edge);
+          });
+          std::sort(edges.begin(), edges.end());
+          std::string line = key + " " + def.name +
+                             (dir == Direction::kOut ? " out " : " in ") +
+                             std::to_string(g.Degree(v, dir, el));
+          for (const std::string& edge : edges) line += " " + edge;
+          lines.push_back(line);
+        }
+      }
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+void ExpectSameState(const grin::GrinGraph& got, const grin::GrinGraph& want) {
+  const std::vector<std::string> a = VisibleState(got);
+  const std::vector<std::string> b = VisibleState(want);
+  EXPECT_EQ(a.size(), b.size());
+  const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  if (ia != a.end() || ib != b.end()) {
+    ADD_FAILURE() << "first difference: got '"
+                  << (ia != a.end() ? *ia : "<end>") << "', want '"
+                  << (ib != b.end() ? *ib : "<end>") << "'";
+  }
+}
+
+TEST(GartTest, BaseAndLogMatchVineyardOfTheVisibleState) {
+  // A seeded trace of every write GART takes, on a built SNB base: each
+  // committed snapshot must read exactly like a Vineyard store built from
+  // the state it should show, and keep its fingerprint as later commits
+  // land.
+  snb::SnbConfig config;
+  config.num_persons = 300;
+  snb::SnbStats stats;
+  PropertyGraphData expected = snb::GenerateSnb(config, &stats);
+  const GraphSchema schema = expected.schema;
+  auto store = GartStore::Build(expected).value();
+  std::vector<size_t> base_edges;  // Leading entries of expected.edges[el].
+  for (const auto& batch : expected.edges) {
+    base_edges.push_back(batch.src_oids.size());
+  }
+  std::vector<size_t> base_vertices;
+  for (const auto& batch : expected.vertices) {
+    base_vertices.push_back(batch.oids.size());
+  }
+
+  Rng rng(2027);
+  const auto value_of = [&](PropertyType type) {
+    const auto n = static_cast<int64_t>(rng.Uniform(1000));
+    if (type == PropertyType::kString) {
+      return PropertyValue("s" + std::to_string(n));
+    }
+    if (type == PropertyType::kDouble) return PropertyValue(n / 4.0);
+    return PropertyValue(n);
+  };
+  const auto random_label = [&](size_t num) {
+    return static_cast<label_t>(rng.Uniform(num));
+  };
+  const auto random_oid = [&](label_t l) {
+    const auto& oids = expected.vertices[l].oids;
+    return oids[rng.Uniform(oids.size())];
+  };
+  const auto edge_row = [&](label_t el, double weight, int64_t ts) {
+    std::vector<PropertyValue> row;
+    for (const PropertyDef& def : schema.edge_label(el).properties) {
+      row.push_back(def.type == PropertyType::kDouble ? PropertyValue(weight)
+                                                      : PropertyValue(ts));
+    }
+    return row;
+  };
+  const auto add_edge = [&](label_t el, oid_t src, oid_t dst) {
+    const double weight = static_cast<double>(rng.Uniform(100)) / 8.0;
+    const auto ts = static_cast<int64_t>(rng.Uniform(100000));
+    ASSERT_TRUE(store->AddEdge(el, src, dst, weight, ts).ok());
+    expected.AddEdge(el, src, dst, edge_row(el, weight, ts));
+  };
+  const auto delete_edge = [&](label_t el, size_t index) {
+    auto& batch = expected.edges[el];
+    const oid_t src = batch.src_oids[index];
+    const oid_t dst = batch.dst_oids[index];
+    EXPECT_TRUE(store->DeleteEdge(el, src, dst).ok());
+    for (size_t i = batch.src_oids.size(); i-- > 0;) {
+      if (batch.src_oids[i] != src || batch.dst_oids[i] != dst) continue;
+      batch.src_oids.erase(batch.src_oids.begin() + i);
+      batch.dst_oids.erase(batch.dst_oids.begin() + i);
+      batch.rows.erase(batch.rows.begin() + i);
+      if (i < base_edges[el]) --base_edges[el];
+    }
+    return std::pair{src, dst};
+  };
+
+  std::vector<std::unique_ptr<grin::GrinGraph>> snapshots;
+  std::vector<uint32_t> fingerprints;
+  oid_t next_oid = 10'000'000;
+  size_t ops[6] = {};
+  for (int commit = 0; commit < 10; ++commit) {
+    for (int k = 0; k < 24; ++k) {
+      const uint64_t kind = rng.Uniform(6);
+      const label_t el = random_label(schema.edge_label_num());
+      auto& edges = expected.edges[el];
+      switch (kind) {
+        case 0: {  // A vertex, sometimes with an edge to it at once.
+          const label_t l = random_label(schema.vertex_label_num());
+          std::vector<PropertyValue> props;
+          for (const PropertyDef& def : schema.vertex_label(l).properties) {
+            props.push_back(value_of(def.type));
+          }
+          const oid_t oid = next_oid++;
+          ASSERT_TRUE(store->AddVertex(l, oid, props).ok());
+          expected.AddVertex(l, oid, props);
+          for (label_t e = 0; e < schema.edge_label_num(); ++e) {
+            if (schema.edge_label(e).dst_label == l) {
+              add_edge(e, random_oid(schema.edge_label(e).src_label), oid);
+              break;
+            }
+          }
+          break;
+        }
+        case 1:
+          add_edge(el, random_oid(schema.edge_label(el).src_label),
+                   random_oid(schema.edge_label(el).dst_label));
+          break;
+        case 2:  // A base edge.
+          if (base_edges[el] == 0) continue;
+          delete_edge(el, rng.Uniform(base_edges[el]));
+          break;
+        case 3:  // A logged edge.
+          if (edges.src_oids.size() == base_edges[el]) continue;
+          delete_edge(el, base_edges[el] + rng.Uniform(edges.src_oids.size() -
+                                                       base_edges[el]));
+          break;
+        case 4: {  // Delete and re-add in one batch.
+          if (edges.src_oids.empty()) continue;
+          const auto [src, dst] =
+              delete_edge(el, rng.Uniform(edges.src_oids.size()));
+          add_edge(el, src, dst);
+          break;
+        }
+        case 5: {  // A base or an added vertex.
+          const label_t l = random_label(schema.vertex_label_num());
+          auto& batch = expected.vertices[l];
+          const bool added =
+              batch.oids.size() > base_vertices[l] && rng.Bernoulli(0.5);
+          const size_t i =
+              added ? base_vertices[l] +
+                          rng.Uniform(batch.oids.size() - base_vertices[l])
+                    : rng.Uniform(base_vertices[l]);
+          const auto& defs = schema.vertex_label(l).properties;
+          const auto col = static_cast<uint32_t>(rng.Uniform(defs.size()));
+          const PropertyValue value = value_of(defs[col].type);
+          ASSERT_TRUE(
+              store->UpdateProperty(l, batch.oids[i], col, value).ok());
+          batch.rows[i][col] = value;
+          break;
+        }
+      }
+      ++ops[kind];
+    }
+    store->CommitVersion();
+    snapshots.push_back(store->PinSnapshot(store->read_version()));
+    fingerprints.push_back(SnapshotFingerprint(*snapshots.back()));
+    auto vineyard = VineyardStore::Build(expected).value();
+    SCOPED_TRACE("commit " + std::to_string(commit));
+    ExpectSameState(*snapshots.back(), *vineyard->GetGrinHandle());
+  }
+  for (const size_t n : ops) EXPECT_GT(n, 0u);
+  for (size_t i = 0; i < snapshots.size(); ++i) {
+    EXPECT_EQ(SnapshotFingerprint(*snapshots[i]), fingerprints[i])
+        << "snapshot " << i;
+  }
+}
+
+TEST(GartTest, ReadersScanBaseVerticesWhileTheirChainsGrow) {
+  // One writer appends to and deletes from the chains of base vertices
+  // while readers scan them: every edge a reader sees carries the
+  // properties it was written with, and Degree agrees with the scan.
+  GraphSchema schema;
+  const label_t v = schema.AddVertexLabel("V", {}).value();
+  const label_t e = schema
+                        .AddEdgeLabel("E", v, v,
+                                      {{"weight", PropertyType::kDouble},
+                                       {"ts", PropertyType::kInt64}})
+                        .value();
+  constexpr oid_t kVerts = 64;
+  PropertyGraphData data;
+  data.schema = schema;
+  std::multiset<std::pair<oid_t, oid_t>> live;
+  for (oid_t i = 0; i < kVerts; ++i) data.AddVertex(v, i, {});
+  for (oid_t i = 0; i < kVerts; ++i) {
+    data.AddEdge(e, i, (i + 1) % kVerts,
+                 {PropertyValue(static_cast<double>(i)),
+                  PropertyValue(int64_t{2 * i})});
+    live.insert({i, (i + 1) % kVerts});
+  }
+  auto store = GartStore::Build(data).value();
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> errors{0};
+  std::atomic<size_t> passes{0};
+  std::thread writer([&] {
+    Rng rng(11);
+    for (int k = 0; k < 3000; ++k) {
+      const auto s = static_cast<oid_t>(rng.Uniform(kVerts));
+      const auto d = static_cast<oid_t>(rng.Uniform(kVerts));
+      if (k % 8 == 7) {
+        if (!store->DeleteEdge(e, s, d).ok()) ++errors;
+        live.erase({s, d});
+      } else {
+        if (!store->AddEdge(e, s, d, k, 2 * k).ok()) ++errors;
+        live.insert({s, d});
+      }
+      if (k % 32 == 0) {
+        // Each commit waits for a reader pass, so reads interleave with
+        // every stretch of writes.
+        store->CommitVersion();
+        const size_t seen = passes.load();
+        while (passes.load() == seen) std::this_thread::yield();
+      }
+    }
+    store->CommitVersion();
+    stop = true;
+  });
+  const auto read = [&] {
+    while (!stop.load()) {
+      auto snap = store->GetSnapshot();
+      for (oid_t i = 0; i < kVerts; ++i) {
+        const vid_t u = snap->FindVertex(v, i).value();
+        for (const Direction dir : {Direction::kOut, Direction::kIn}) {
+          size_t n = 0;
+          grin::ForEachAdj(*snap, u, dir, e, [&](vid_t, double w, eid_t id) {
+            ++n;
+            const double weight = snap->GetEdgeProperty(e, id, 0).AsDouble();
+            const int64_t ts = snap->GetEdgeProperty(e, id, 1).AsInt64();
+            if (ts != static_cast<int64_t>(2 * weight)) ++errors;
+            if (dir == Direction::kOut && w != weight) ++errors;
+          });
+          if (snap->Degree(u, dir, e) != n) ++errors;
+        }
+      }
+      ++passes;
+    }
+  };
+  std::thread reader1(read);
+  std::thread reader2(read);
+  writer.join();
+  reader1.join();
+  reader2.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_GT(passes.load(), 3000u / 32);
+  EXPECT_EQ(store->CountEdges(e), live.size());
 }
 
 // ------------------------------------------------------------ LiveGraph
