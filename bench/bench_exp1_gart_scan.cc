@@ -5,13 +5,13 @@
 
 #include <cstdio>
 
+#include "baselines/livegraph.h"
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datagen/registry.h"
 #include "graph/csr.h"
 #include "storage/gart/gart_store.h"
-#include "storage/livegraph/livegraph_store.h"
 #include "storage/simple.h"
 
 namespace flex {
@@ -78,7 +78,7 @@ int main() {
     }
     gart_log->CommitVersion();
     auto gart_log_snap = gart_log->GetSnapshot();
-    auto live = storage::LiveGraphStore::Build(graph);
+    auto live = baselines::LiveGraphStore::Build(graph);
     auto live_snap = live->GetSnapshot();
 
     const double csr_ms =

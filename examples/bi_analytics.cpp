@@ -9,6 +9,9 @@
 // Run: ./build/examples/bi_analytics
 
 #include <cstdio>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/fault.h"
 #include "query/service.h"
@@ -31,7 +34,10 @@ int main() {
   config.num_persons = 1000;
   snb::SnbStats stats;
   auto data = snb::GenerateSnb(config, &stats);
-  const std::string archive = "/tmp/flex_bi_history.gar";
+  // Per-process name: two runs at once (say, two build trees under ctest)
+  // must not overwrite each other's archive.
+  const std::string archive =
+      "/tmp/flex_bi_history_" + std::to_string(::getpid()) + ".gar";
   FLEX_CHECK(storage::graphar::WriteGraphAr(archive, data).ok());
   std::printf("archived snapshot: %zu vertices, %zu edges -> %s\n",
               data.total_vertices(), data.total_edges(), archive.c_str());
@@ -75,5 +81,6 @@ int main() {
   }
   std::printf("\n(every query ran on the Gaia dataflow engine straight off "
               "the GraphAr archive — no database to operate)\n");
+  std::remove(archive.c_str());
   return 0;
 }

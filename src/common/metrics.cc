@@ -215,7 +215,8 @@ constexpr MetricSpec kStackMetrics[] = {
      "VisitVertices / VisitVerticesFiltered call, i.e. one per scanned "
      "window of each label."},
     {kStorageSnapshotsPinnedTotal, "counter",
-     "MVCC snapshots pinned through MutableGraphStore::PinSnapshot."},
+     "GART MVCC snapshots taken (GartStore::GetSnapshot, which "
+     "DurableStore::PinSnapshot calls)."},
     {kTenantRejectionsTotal, "counter",
      "Queries rejected at admission because the tenant's concurrency "
      "quota was exhausted (kResourceExhausted)."},

@@ -1,5 +1,6 @@
 #include "ir/expr.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -52,6 +53,7 @@ ExprPtr Expr::LabelName(size_t column) {
 ExprPtr Expr::Binary(BinOp op, ExprPtr lhs, ExprPtr rhs) {
   auto e = ExprPtr(new Expr());
   e->kind_ = ExprKind::kBinary;
+  e->height_ = 1 + std::max(lhs->height_, rhs->height_);
   e->op_ = op;
   e->lhs_ = std::move(lhs);
   e->rhs_ = std::move(rhs);
@@ -61,6 +63,7 @@ ExprPtr Expr::Binary(BinOp op, ExprPtr lhs, ExprPtr rhs) {
 ExprPtr Expr::Not(ExprPtr inner) {
   auto e = ExprPtr(new Expr());
   e->kind_ = ExprKind::kNot;
+  e->height_ = 1 + inner->height_;
   e->lhs_ = std::move(inner);
   return e;
 }
@@ -68,6 +71,7 @@ ExprPtr Expr::Not(ExprPtr inner) {
 ExprPtr Expr::In(ExprPtr lhs, std::vector<PropertyValue> values) {
   auto e = ExprPtr(new Expr());
   e->kind_ = ExprKind::kIn;
+  e->height_ = 1 + lhs->height_;
   e->lhs_ = std::move(lhs);
   e->in_values_ = std::move(values);
   return e;
@@ -556,6 +560,7 @@ ExprPtr Expr::WithoutIdEquality(size_t column) const {
 ExprPtr Expr::Clone() const {
   auto e = ExprPtr(new Expr());
   e->kind_ = kind_;
+  e->height_ = height_;
   e->value_ = value_;
   e->param_index_ = param_index_;
   e->column_ = column_;

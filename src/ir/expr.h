@@ -12,6 +12,14 @@
 
 namespace flex::ir {
 
+/// The deepest query the front ends accept: how high an expression tree
+/// may grow while it is parsed (each open parenthesis and NOT, and each
+/// chained binary operator, adds a level) and how many operators a plan may
+/// hold. Evaluating, cloning and destroying an Expr recurse once per level,
+/// and the streaming reference recurses once per operator, so this bound
+/// keeps query text from overflowing the stack.
+inline constexpr size_t kMaxQueryDepth = 256;
+
 /// Expression tree evaluated against one row (plus the graph for property
 /// dereferences and query parameters for stored procedures).
 class Expr;
@@ -76,6 +84,9 @@ class Expr {
                      std::vector<char>* out) const;
 
   ExprKind kind() const { return kind_; }
+  /// Levels in this tree: 1 for a leaf, else one more than its higher
+  /// operand.
+  size_t height() const { return height_; }
   size_t column() const { return column_; }
   const std::string& property() const { return property_; }
   BinOp bin_op() const { return op_; }
@@ -123,6 +134,7 @@ class Expr {
                          std::vector<PropertyValue>* out) const;
 
   ExprKind kind_ = ExprKind::kConst;
+  uint32_t height_ = 1;
   PropertyValue value_;
   size_t param_index_ = 0;
   size_t column_ = 0;

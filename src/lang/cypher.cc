@@ -204,11 +204,16 @@ class CypherParser {
         ExprPtr lhs = EqualsIgnoreCase(prop, "id")
                           ? Expr::VertexId(0)
                           : Expr::Property(0, prop);
-        ExprPtr eq = Expr::Binary(BinOp::kEq, std::move(lhs),
-                                  std::move(value));
-        pred = pred == nullptr
-                   ? std::move(eq)
-                   : Expr::Binary(BinOp::kAnd, std::move(pred), std::move(eq));
+        FLEX_ASSIGN_OR_RETURN(
+            ExprPtr eq,
+            Checked(Expr::Binary(BinOp::kEq, std::move(lhs), std::move(value))));
+        if (pred == nullptr) {
+          pred = std::move(eq);
+        } else {
+          FLEX_ASSIGN_OR_RETURN(pred, Checked(Expr::Binary(BinOp::kAnd,
+                                                           std::move(pred),
+                                                           std::move(eq))));
+        }
         if (!ts_.TryPunct(",")) break;
       }
       FLEX_RETURN_NOT_OK(ts_.ExpectPunct("}"));
@@ -344,19 +349,29 @@ class CypherParser {
 
   // --------------------------------------------------------- expressions
 
-  /// Deepest expression nesting accepted: each parenthesized
-  /// subexpression and each NOT takes a level. It bounds the parser's
-  /// recursion, and with it how deep nesting can make the Expr trees that
-  /// evaluation and destruction recurse over.
-  static constexpr int kMaxExprDepth = 256;
+  // Expression height is bounded by ir::kMaxQueryDepth: the nesting levels
+  // open in the parser (each parenthesized subexpression and each NOT)
+  // plus the height of the tree being built. The first bounds the parser's
+  // recursion; the second stops a flat operator chain as it grows, before
+  // its tree is deep enough to overflow the stack that evaluates or
+  // destroys it.
 
-  /// Opens one nesting level, or fails past kMaxExprDepth. A caller
-  /// closes its level once its subexpression parsed; an error ends the
-  /// whole parse, so a failed level is never closed.
+  static Status TooDeep() {
+    return Status::ParseError("expression deeper than " +
+                              std::to_string(ir::kMaxQueryDepth) + " levels");
+  }
+
+  /// Opens one nesting level, or fails past the bound. A caller closes its
+  /// level once its subexpression parsed; an error ends the whole parse,
+  /// so a failed level is never closed.
   Status Nest() {
-    if (++depth_ <= kMaxExprDepth) return Status::OK();
-    return Status::ParseError("expression nested deeper than " +
-                              std::to_string(kMaxExprDepth) + " levels");
+    return ++depth_ <= ir::kMaxQueryDepth ? Status::OK() : TooDeep();
+  }
+
+  /// `expr`, or an error once it and the open levels pass the bound.
+  Result<ExprPtr> Checked(ExprPtr expr) const {
+    if (depth_ + expr->height() > ir::kMaxQueryDepth) return TooDeep();
+    return expr;
   }
 
   Result<ExprPtr> ParseExpr() {
@@ -370,7 +385,9 @@ class CypherParser {
     FLEX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (ts_.TryKeyword("OR")) {
       FLEX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = Expr::Binary(BinOp::kOr, std::move(lhs), std::move(rhs));
+      FLEX_ASSIGN_OR_RETURN(
+          lhs, Checked(Expr::Binary(BinOp::kOr, std::move(lhs),
+                                    std::move(rhs))));
     }
     return lhs;
   }
@@ -379,7 +396,9 @@ class CypherParser {
     FLEX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (ts_.TryKeyword("AND")) {
       FLEX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
-      lhs = Expr::Binary(BinOp::kAnd, std::move(lhs), std::move(rhs));
+      FLEX_ASSIGN_OR_RETURN(
+          lhs, Checked(Expr::Binary(BinOp::kAnd, std::move(lhs),
+                                    std::move(rhs))));
     }
     return lhs;
   }
@@ -389,7 +408,7 @@ class CypherParser {
       FLEX_RETURN_NOT_OK(Nest());
       FLEX_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
       --depth_;
-      return Expr::Not(std::move(inner));
+      return Checked(Expr::Not(std::move(inner)));
     }
     return ParseComparison();
   }
@@ -403,7 +422,7 @@ class CypherParser {
     for (const auto& [text, op] : kOps) {
       if (ts_.TryPunct(text)) {
         FLEX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-        return Expr::Binary(op, std::move(lhs), std::move(rhs));
+        return Checked(Expr::Binary(op, std::move(lhs), std::move(rhs)));
       }
     }
     if (ts_.TryKeyword("IN")) {
@@ -417,7 +436,7 @@ class CypherParser {
         }
         FLEX_RETURN_NOT_OK(ts_.ExpectPunct("]"));
       }
-      return Expr::In(std::move(lhs), std::move(values));
+      return Checked(Expr::In(std::move(lhs), std::move(values)));
     }
     return lhs;
   }
@@ -425,30 +444,34 @@ class CypherParser {
   Result<ExprPtr> ParseAdditive() {
     FLEX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
     for (;;) {
+      BinOp op;
       if (ts_.TryPunct("+")) {
-        FLEX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-        lhs = Expr::Binary(BinOp::kAdd, std::move(lhs), std::move(rhs));
+        op = BinOp::kAdd;
       } else if (ts_.TryPunct("-")) {
-        FLEX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-        lhs = Expr::Binary(BinOp::kSub, std::move(lhs), std::move(rhs));
+        op = BinOp::kSub;
       } else {
         return lhs;
       }
+      FLEX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
+      FLEX_ASSIGN_OR_RETURN(
+          lhs, Checked(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
   }
 
   Result<ExprPtr> ParseMultiplicative() {
     FLEX_ASSIGN_OR_RETURN(ExprPtr lhs, ParsePrimary());
     for (;;) {
+      BinOp op;
       if (ts_.TryPunct("*")) {
-        FLEX_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePrimary());
-        lhs = Expr::Binary(BinOp::kMul, std::move(lhs), std::move(rhs));
+        op = BinOp::kMul;
       } else if (ts_.TryPunct("/")) {
-        FLEX_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePrimary());
-        lhs = Expr::Binary(BinOp::kDiv, std::move(lhs), std::move(rhs));
+        op = BinOp::kDiv;
       } else {
         return lhs;
       }
+      FLEX_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePrimary());
+      FLEX_ASSIGN_OR_RETURN(
+          lhs, Checked(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
   }
 
@@ -552,7 +575,7 @@ class CypherParser {
   TokenStream ts_;
   const GraphSchema& schema_;
   ir::PlanBuilder builder_;
-  int depth_ = 0;  ///< Expression nesting levels currently open.
+  size_t depth_ = 0;  ///< Expression nesting levels currently open.
 };
 
 }  // namespace

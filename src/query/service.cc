@@ -15,13 +15,25 @@ namespace flex::query {
 
 Result<ir::Plan> ParseQuery(Language lang, const std::string& text,
                             const GraphSchema& schema) {
+  Result<ir::Plan> plan = Status::InvalidArgument("unknown language");
   switch (lang) {
     case Language::kCypher:
-      return lang::ParseCypher(text, schema);
+      plan = lang::ParseCypher(text, schema);
+      break;
     case Language::kGremlin:
-      return lang::ParseGremlin(text, schema);
+      plan = lang::ParseGremlin(text, schema);
+      break;
   }
-  return Status::InvalidArgument("unknown language");
+  // The engines and the optimizer walk a plan operator by operator, some
+  // of them recursively; the bound also caps how many SELECTs the
+  // optimizer can AND into one predicate.
+  if (plan.ok() && plan.value().ops.size() > ir::kMaxQueryDepth) {
+    return Status::ParseError("query has " +
+                              std::to_string(plan.value().ops.size()) +
+                              " operators; the limit is " +
+                              std::to_string(ir::kMaxQueryDepth));
+  }
+  return plan;
 }
 
 QueryService::QueryService(const grin::GrinGraph* graph, size_t num_workers,

@@ -13,29 +13,29 @@ namespace flex::storage {
 
 namespace {
 
-/// Applies one committed WAL record to the backend. Shared between
-/// recovery replay and the post-durability half of CommitBatch, so the two
-/// paths cannot drift (the bit-identical guarantee depends on them being
-/// the same function).
-Status ApplyRecord(MutableGraphStore* backend, const WalRecord& r) {
+/// Applies one committed WAL record to GART. Shared between recovery
+/// replay and the post-durability half of CommitBatch, so the two paths
+/// cannot drift (the bit-identical guarantee depends on them being the
+/// same function).
+Status ApplyRecord(GartStore* gart, const WalRecord& r) {
   switch (r.type) {
     case WalRecordType::kAddVertex:
-      return backend->AppendVertex(r.label, r.src, r.props).status();
+      return gart->AddVertex(r.label, r.src, r.props).status();
     case WalRecordType::kAddEdge:
-      return backend->AppendEdge(r.label, r.src, r.dst, r.weight, r.ts);
+      return gart->AddEdge(r.label, r.src, r.dst, r.weight, r.ts);
     case WalRecordType::kUpdateProperty:
-      return backend->UpdateProperty(
+      return gart->UpdateProperty(
           r.label, r.src, r.col,
           r.props.empty() ? PropertyValue() : r.props.front());
     case WalRecordType::kDeleteEdge:
-      return backend->RemoveEdge(r.label, r.src, r.dst);
+      return gart->DeleteEdge(r.label, r.src, r.dst);
     case WalRecordType::kCommitBatch: {
-      const version_t got = backend->CommitBatch();
+      const version_t got = gart->CommitVersion();
       if (got != r.epoch) {
         return Status::DataLoss(
             "wal replay published epoch " + std::to_string(got) +
             " but the log recorded " + std::to_string(r.epoch) +
-            " (backend base state differs from the logged run)");
+            " (the store's base state differs from the logged run)");
       }
       return Status::OK();
     }
@@ -46,22 +46,22 @@ Status ApplyRecord(MutableGraphStore* backend, const WalRecord& r) {
 
 }  // namespace
 
-DurableStore::DurableStore(std::shared_ptr<MutableGraphStore> backend,
+DurableStore::DurableStore(std::shared_ptr<GartStore> gart,
                            std::unique_ptr<WalWriter> writer,
                            WalReplayStats stats)
-    : backend_(std::move(backend)),
+    : gart_(std::move(gart)),
       writer_(std::move(writer)),
       recovery_stats_(stats),
       next_seq_(stats.last_seq + 1) {}
 
 Result<std::unique_ptr<DurableStore>> DurableStore::Open(
-    std::shared_ptr<MutableGraphStore> backend, const std::string& wal_path,
+    std::shared_ptr<GartStore> gart, const std::string& wal_path,
     trace::Trace* trace) {
   WalReplayStats stats;
   {
     trace::ScopedSpan span(trace, "storage.recover", "storage");
     auto replayed = ReplayWal(wal_path, [&](const WalRecord& r) {
-      return ApplyRecord(backend.get(), r);
+      return ApplyRecord(gart.get(), r);
     });
     if (!replayed.ok()) return replayed.status();
     stats = replayed.value();
@@ -71,7 +71,7 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   auto writer = WalWriter::Open(wal_path, stats.valid_bytes);
   if (!writer.ok()) return writer.status();
   return std::unique_ptr<DurableStore>(new DurableStore(
-      std::move(backend), std::move(writer).value(), stats));
+      std::move(gart), std::move(writer).value(), stats));
 }
 
 Status DurableStore::CheckWritable() const {
@@ -137,12 +137,12 @@ Result<version_t> DurableStore::CommitBatch(const CommitOptions& options) {
   FLEX_RETURN_NOT_OK(CheckWritable());
   FLEX_RETURN_NOT_OK(
       CheckRunnable(options.deadline, options.cancel, "wal.commit"));
-  if (staged_.empty()) return backend_->read_version();
+  if (staged_.empty()) return gart_->read_version();
 
   // Group commit: every record of the batch plus its commit record become
   // one buffer, one write(), one fsync() — the batch is all-or-nothing on
   // disk no matter where a crash lands.
-  const version_t epoch = backend_->read_version() + 1;
+  const version_t epoch = gart_->read_version() + 1;
   std::vector<uint8_t> buf;
   std::vector<uint8_t> payload;
   for (WalRecord& r : staged_) {
@@ -174,23 +174,23 @@ Result<version_t> DurableStore::CommitBatch(const CommitOptions& options) {
 
   // Durable. Apply to memory and publish. A crash from here on loses
   // nothing: the in-memory state was never visible (epoch unpublished) and
-  // recovery replays the durable batch onto a fresh backend.
+  // recovery replays the durable batch onto a fresh store.
   for (const WalRecord& r : staged_) {
     if (FLEX_FAULT_POINT("storage.apply")) {
       failed_ = true;
       return Status::Internal("injected apply crash at seq " +
                               std::to_string(r.seq));
     }
-    Status st = ApplyRecord(backend_.get(), r);
+    Status st = ApplyRecord(gart_.get(), r);
     if (!st.ok()) {
       failed_ = true;
       return st;
     }
   }
-  const version_t published = backend_->CommitBatch();
+  const version_t published = gart_->CommitVersion();
   if (published != epoch) {
     failed_ = true;
-    return Status::Internal("backend published epoch " +
+    return Status::Internal("GART published epoch " +
                             std::to_string(published) + ", logged " +
                             std::to_string(epoch));
   }
@@ -237,8 +237,8 @@ uint32_t SnapshotFingerprint(const grin::GrinGraph& graph) {
     mix();
   }
 
-  // Out-adjacency only: GART mirrors every edge into its in-list, so the
-  // out view already determines the full topology on both backends.
+  // Out-adjacency only: every backend mirrors each edge into its in-list,
+  // so the out view already determines the full topology.
   //
   // Sources are enumerated through VisitVertices (the version-filtered
   // view), never by sweeping [0, NumVertices()): on MVCC snapshots

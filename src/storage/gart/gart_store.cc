@@ -1,6 +1,7 @@
 #include "storage/gart/gart_store.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/metric_names.h"
@@ -48,6 +49,10 @@ class ChunkBuffer {
   double weights_[kEmitBuf];
   eid_t eids_[kEmitBuf];
 };
+
+/// Log record ids and override indexes are 1-based uint32 links (0 ends a
+/// chain), so each log and the override list hold at most this many.
+constexpr size_t kMaxRecordId = std::numeric_limits<uint32_t>::max();
 
 uint64_t OverrideKey(vid_t v, size_t col) {
   return static_cast<uint64_t>(v) << 32 | col;
@@ -139,6 +144,9 @@ Result<vid_t> GartStore::AddVertex(label_t label, oid_t oid,
   if (FindForWrite(label, oid) != kInvalidVid) {
     return Status::AlreadyExists("vertex oid " + std::to_string(oid));
   }
+  if (added_.size() >= kInvalidVid - base_vertices_) {
+    return Status::ResourceExhausted("GART vertex ids are used up");
+  }
   std::unique_lock<std::shared_mutex> lock(mu_);
   PropertyTable& table = added_tables_[label];
   FLEX_RETURN_NOT_OK(table.AppendRow(props));
@@ -152,8 +160,13 @@ Result<vid_t> GartStore::AddVertex(label_t label, oid_t oid,
   return vid;
 }
 
-void GartStore::Append(label_t edge_label, Record record) {
+Status GartStore::Append(label_t edge_label, Record record) {
   EdgeLog& log = logs_[edge_label];
+  if (log.records.size() >= kMaxRecordId) {
+    return Status::ResourceExhausted("GART log record ids of edge label " +
+                                     std::to_string(edge_label) +
+                                     " are used up");
+  }
   const EdgeLabelDef& def = schema().edge_label(edge_label);
   const auto slot = [](StableVector<std::atomic<uint32_t>>* heads,
                        vid_t pos) -> std::atomic<uint32_t>& {
@@ -171,6 +184,7 @@ void GartStore::Append(label_t edge_label, Record record) {
   const auto id = static_cast<uint32_t>(log.records.size());
   out.store(id, std::memory_order_release);
   in.store(id, std::memory_order_release);
+  return Status::OK();
 }
 
 Status GartStore::AddEdge(label_t edge_label, oid_t src, oid_t dst,
@@ -188,9 +202,9 @@ Status GartStore::AddEdge(label_t edge_label, oid_t src, oid_t dst,
   if (dst_vid == kInvalidVid) {
     return Status::NotFound("edge dst oid " + std::to_string(dst));
   }
-  Append(edge_label, {src_vid, dst_vid, 0, 0, weight, ts,
-                      committed_.load(std::memory_order_relaxed) + 1, false});
-  return Status::OK();
+  return Append(edge_label,
+                {src_vid, dst_vid, 0, 0, weight, ts,
+                 committed_.load(std::memory_order_relaxed) + 1, false});
 }
 
 Status GartStore::DeleteEdge(label_t edge_label, oid_t src, oid_t dst) {
@@ -204,9 +218,9 @@ Status GartStore::DeleteEdge(label_t edge_label, oid_t src, oid_t dst) {
   if (src_vid == kInvalidVid || dst_vid == kInvalidVid) {
     return Status::NotFound("edge endpoint not found");
   }
-  Append(edge_label, {src_vid, dst_vid, 0, 0, 0.0, 0,
-                      committed_.load(std::memory_order_relaxed) + 1, true});
-  return Status::OK();
+  return Append(edge_label,
+                {src_vid, dst_vid, 0, 0, 0.0, 0,
+                 committed_.load(std::memory_order_relaxed) + 1, true});
 }
 
 Status GartStore::UpdateProperty(label_t label, oid_t oid, uint32_t col,
@@ -230,6 +244,9 @@ Status GartStore::UpdateProperty(label_t label, oid_t oid, uint32_t col,
   const vid_t vid = FindForWrite(label, oid);
   if (vid == kInvalidVid) {
     return Status::NotFound("vertex oid " + std::to_string(oid));
+  }
+  if (overrides_.size() >= kMaxRecordId) {
+    return Status::ResourceExhausted("GART property override ids are used up");
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   uint32_t& head = override_heads_[OverrideKey(vid, col)];
@@ -520,13 +537,8 @@ std::unique_ptr<grin::GrinGraph> GartStore::GetSnapshot() const {
 
 std::unique_ptr<grin::GrinGraph> GartStore::GetSnapshot(
     version_t version) const {
-  return std::make_unique<GartSnapshot>(this, version);
-}
-
-std::unique_ptr<grin::GrinGraph> GartStore::PinSnapshot(
-    version_t version) const {
   FLEX_COUNTER_INC(metrics::kStorageSnapshotsPinnedTotal);
-  return GetSnapshot(version);
+  return std::make_unique<GartSnapshot>(this, version);
 }
 
 }  // namespace flex::storage

@@ -14,7 +14,6 @@
 #include "graph/schema.h"
 #include "graph/types.h"
 #include "grin/grin.h"
-#include "storage/mutable_store.h"
 #include "storage/vineyard/vineyard_store.h"
 
 namespace flex::storage {
@@ -56,7 +55,13 @@ namespace flex::storage {
 /// one int64 property (e.g. a timestamp) per logged edge, which covers the
 /// dynamic-graph workloads of the paper (fraud detection's BUY.date).
 /// Richer edge schemas belong in the immutable Vineyard store.
-class GartStore : public MutableGraphStore {
+///
+/// Capacity: vids, log record ids and override indexes are 32-bit. A write
+/// that would wrap one returns kResourceExhausted and changes nothing.
+///
+/// DurableStore is the crash-consistent front: it logs each batch to its
+/// WAL, then applies it through the writes below.
+class GartStore {
  public:
   /// An empty store at version 0. Rejects schemas whose edge labels carry
   /// unsupported property types.
@@ -71,7 +76,8 @@ class GartStore : public MutableGraphStore {
 
   // -------------------------------------------------------------- writes
 
-  /// Inserts a vertex; visible after the next CommitVersion().
+  /// Inserts a vertex; visible after the next CommitVersion(). Fails
+  /// kAlreadyExists on a duplicate (label, oid).
   Result<vid_t> AddVertex(label_t label, oid_t oid,
                           std::vector<PropertyValue> props);
 
@@ -88,35 +94,22 @@ class GartStore : public MutableGraphStore {
   /// create <= snapshot version, else the load-time row (in-place table
   /// writes would leak new values into old snapshots).
   Status UpdateProperty(label_t label, oid_t oid, uint32_t col,
-                        const PropertyValue& value) override;
+                        const PropertyValue& value);
 
   /// Publishes all writes made since the previous commit; returns the new
   /// readable version.
   version_t CommitVersion();
 
-  // MutableGraphStore: adapters over the native write API above.
-  Result<vid_t> AppendVertex(label_t label, oid_t oid,
-                             std::vector<PropertyValue> props) override {
-    return AddVertex(label, oid, std::move(props));
-  }
-  Status AppendEdge(label_t edge_label, oid_t src, oid_t dst, double weight,
-                    int64_t ts) override {
-    return AddEdge(edge_label, src, dst, weight, ts);
-  }
-  Status RemoveEdge(label_t edge_label, oid_t src, oid_t dst) override {
-    return DeleteEdge(edge_label, src, dst);
-  }
-  version_t CommitBatch() override { return CommitVersion(); }
-  std::unique_ptr<grin::GrinGraph> PinSnapshot(
-      version_t version) const override;
-
   // --------------------------------------------------------------- reads
 
-  version_t read_version() const override {
+  /// The newest committed version.
+  version_t read_version() const {
     return committed_.load(std::memory_order_acquire);
   }
 
-  /// GRIN view pinned at `version` (default: current read version).
+  /// GRIN view pinned at `version` (default: current read version); it
+  /// stays consistent while writers advance the head, and must not outlive
+  /// the store. Counts into flex_storage_snapshots_pinned_total.
   std::unique_ptr<grin::GrinGraph> GetSnapshot() const;
   std::unique_ptr<grin::GrinGraph> GetSnapshot(version_t version) const;
 
@@ -186,8 +179,9 @@ class GartStore : public MutableGraphStore {
   /// Writer side (write_mu_ held): the vid of (label, oid), committed or
   /// not, or kInvalidVid.
   vid_t FindForWrite(label_t label, oid_t oid) const;
-  /// Writer side: appends `record` and moves both endpoints' heads to it.
-  void Append(label_t edge_label, Record record);
+  /// Writer side: appends `record` and moves both endpoints' heads to it;
+  /// kResourceExhausted once the log's record ids are used up.
+  Status Append(label_t edge_label, Record record);
 
   /// Visits v's edges visible at `version`; returns false on early stop.
   bool ScanAdj(vid_t v, Direction dir, label_t edge_label, version_t version,

@@ -13,10 +13,10 @@
 
 namespace flex::storage {
 
-/// Write-ahead log for the mutable graph stores (the durability half of the
-/// paper's evolving-graph story: GART/LiveGraph keep the working set in
-/// memory, so crash consistency has to come from a log, as in ZipG's
-/// log-structured store).
+/// Write-ahead log for the mutable graph store (the durability half of the
+/// paper's evolving-graph story: GART keeps the working set in memory, so
+/// crash consistency has to come from a log, as in ZipG's log-structured
+/// store).
 ///
 /// File layout:
 ///

@@ -1,6 +1,6 @@
 // Cross-backend parity: the same generated graph served through GRIN by
-// all five storage backends (simple CSR, vineyard, GART, LiveGraph,
-// GraphAr) must yield bit-identical analytics results, each checked
+// the four storage backends (simple CSR, vineyard, GART, GraphAr) and the
+// LiveGraph baseline must yield bit-identical analytics results, each checked
 // against the edge list itself (three backends share one CSR builder, so
 // none of them can be the reference). Vid numbering is a backend-private
 // detail, so every traversal below goes through the index trait
@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/livegraph.h"
 #include "common/metric_names.h"
 #include "common/metrics.h"
 #include "datagen/generators.h"
@@ -31,7 +32,6 @@
 #include "query/service.h"
 #include "storage/gart/gart_store.h"
 #include "storage/graphar/graphar.h"
-#include "storage/livegraph/livegraph_store.h"
 #include "storage/simple.h"
 #include "storage/vineyard/vineyard_store.h"
 
@@ -116,8 +116,8 @@ std::vector<Backend> BuildBackends(const EdgeList& list) {
     backends.push_back(std::move(b));
   }
   {
-    std::shared_ptr<storage::LiveGraphStore> store =
-        std::move(storage::LiveGraphStore::Build(list));
+    std::shared_ptr<baselines::LiveGraphStore> store =
+        baselines::LiveGraphStore::Build(list);
     std::shared_ptr<grin::GrinGraph> g = store->GetSnapshot();
     backends.push_back(
         {"livegraph", g.get(),

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/analytics_baselines.h"
+#include "baselines/livegraph.h"
 #include "baselines/relational.h"
 #include "datagen/generators.h"
 #include "grape/apps/pagerank.h"
@@ -88,6 +89,18 @@ TEST(RelTableTest, GroupBySum) {
   }
   EXPECT_DOUBLE_EQ(sum5, 4.0);
   EXPECT_DOUBLE_EQ(sum7, 1.0);
+}
+
+TEST(LiveGraphTest, GrinSnapshotScan) {
+  EdgeList list = datagen::GenerateUniform(100, 600, 4);
+  auto store = LiveGraphStore::Build(list);
+  auto g = store->GetSnapshot();
+  size_t total = 0;
+  for (vid_t v = 0; v < 100; ++v) {
+    grin::ForEachAdj(*g, v, Direction::kOut, 0,
+                     [&](vid_t, double, eid_t) { ++total; return true; });
+  }
+  EXPECT_EQ(total, 600u);
 }
 
 }  // namespace

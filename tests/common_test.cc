@@ -603,19 +603,27 @@ TEST(BarrierTest, ExactlyOneLeaderPerGeneration) {
 // ---------------------------------------------------------- StableVector
 
 TEST(StableVectorTest, AppendsAcrossBlocks) {
-  StableVector<int, 4, 64> v;
+  StableVector<int, 4> v;
   for (int i = 0; i < 50; ++i) v.push_back(i * i);
   ASSERT_EQ(v.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(v[i], i * i);
 }
 
 TEST(StableVectorTest, AddressesAreStable) {
-  StableVector<int, 2, 64> v;
+  StableVector<int, 2> v;
   v.push_back(1);
   const int* first = &v[0];
   for (int i = 0; i < 100; ++i) v.push_back(i);
   EXPECT_EQ(first, &v[0]);  // No reallocation ever moves elements.
   EXPECT_EQ(*first, 1);
+}
+
+TEST(StableVectorTest, GrowsPastAFixedBlockTable) {
+  // One element per block: 100,000 blocks, far past any fixed table.
+  StableVector<uint32_t, 1> v;
+  for (uint32_t i = 0; i < 100000; ++i) v.push_back(i * 3);
+  ASSERT_EQ(v.size(), 100000u);
+  for (uint32_t i = 0; i < 100000; ++i) ASSERT_EQ(v[i], i * 3);
 }
 
 TEST(StableVectorTest, ConcurrentReadersSeeOnlyPublishedElements) {

@@ -2,7 +2,7 @@
 // commit pipeline (torn WAL append, lost fsync, mid-apply death) and
 // assert the recovered store is bit-identical — SnapshotFingerprint and
 // epoch — to an uninterrupted run that stops at the same durable batch.
-// Both dynamic backends, GART also replayed onto a built base, schedules
+// GART from an empty store and GART replayed onto a built base, schedules
 // scripted from FLEX_CHAOS_SEED (the `tools/check.sh crash` mode loops
 // seeds 1 7 23 101 under ASan+UBSan).
 
@@ -21,8 +21,6 @@
 #include "gtest/gtest.h"
 #include "storage/durable_store.h"
 #include "storage/gart/gart_store.h"
-#include "storage/livegraph/livegraph_store.h"
-#include "storage/mutable_store.h"
 
 namespace flex::storage {
 namespace {
@@ -41,19 +39,17 @@ struct Op {
   oid_t b = 0;
   double weight = 1.0;
   int64_t ts = 0;
-  std::string name;  // kVertex / kUpdate payload (GART only).
+  std::string name;  // kVertex / kUpdate payload.
 };
 
 struct Script {
   std::vector<std::vector<Op>> batches;
 };
 
-/// The stores under test: GART from Create, LiveGraph, and GART built from
+/// The stores under test: GART from Create, and GART built from
 /// BaseGraph(), whose WAL replays onto that base as the htap recovery
 /// does.
-enum class Backend { kGart, kLiveGraph, kGartBuilt };
-
-bool IsGart(Backend backend) { return backend != Backend::kLiveGraph; }
+enum class Backend { kGart, kGartBuilt };
 
 /// The epoch a fresh backend starts at: Build publishes its base as one.
 version_t BaseEpoch(Backend backend) {
@@ -76,22 +72,16 @@ PropertyGraphData BaseGraph() {
   return data;
 }
 
-/// Deterministic mixed workload honouring each backend's shape rules
-/// (LiveGraph: dense oids, no properties; GART: sparse oids, updates). On
-/// the built base every batch also updates a base vertex and deletes a
-/// base edge while one is left.
+/// Deterministic mixed workload: sparse oids, edges, property updates and
+/// deletes. On the built base every batch also updates a base vertex and
+/// deletes a base edge while one is left.
 Script MakeScript(uint64_t seed, Backend backend, int num_batches) {
-  const bool gart = IsGart(backend);
   const bool built = backend == Backend::kGartBuilt;
-  Rng rng(seed * 1000003 + (built ? 3 : gart ? 1 : 2));
+  Rng rng(seed * 1000003 + (built ? 3 : 1));
   Script script;
   std::vector<oid_t> vertices;
   std::vector<std::pair<oid_t, oid_t>> edges;
   std::vector<std::pair<oid_t, oid_t>> base_edges;
-  oid_t next_dense = 2;  // LiveGraph backends start with vertices {0, 1}.
-  if (!gart) {
-    vertices = {0, 1};
-  }
   if (built) {
     const PropertyGraphData base = BaseGraph();
     vertices = base.vertices[0].oids;
@@ -124,8 +114,8 @@ Script MakeScript(uint64_t seed, Backend backend, int num_batches) {
     for (int i = 0; i < new_vertices; ++i) {
       Op op;
       op.kind = Op::kVertex;
-      op.a = gart ? static_cast<oid_t>(100 + vertices.size()) : next_dense++;
-      if (gart) op.name = "v" + std::to_string(op.a);
+      op.a = static_cast<oid_t>(100 + vertices.size());
+      op.name = "v" + std::to_string(op.a);
       vertices.push_back(op.a);
       ops.push_back(op);
     }
@@ -139,7 +129,7 @@ Script MakeScript(uint64_t seed, Backend backend, int num_batches) {
       edges.emplace_back(op.a, op.b);
       ops.push_back(op);
     }
-    if (gart && rng.Bernoulli(0.5) && !vertices.empty()) {
+    if (rng.Bernoulli(0.5) && !vertices.empty()) {
       Op op;
       op.kind = Op::kUpdate;
       op.a = vertices[rng.Uniform(vertices.size())];
@@ -154,21 +144,17 @@ Script MakeScript(uint64_t seed, Backend backend, int num_batches) {
       op.b = e.second;
       ops.push_back(op);
       // RemoveEdge tombstones every live (a)->(b); drop them all so the
-      // script never removes a pair twice (LiveGraph rejects a delete
-      // that finds no live edge).
+      // script never removes a pair twice.
       std::erase(edges, e);
     }
   }
   return script;
 }
 
-Status StageOp(DurableStore* store, const Op& op, bool gart) {
+Status StageOp(DurableStore* store, const Op& op) {
   switch (op.kind) {
     case Op::kVertex:
-      return store->AppendVertex(
-          0, op.a,
-          gart ? std::vector<PropertyValue>{PropertyValue(op.name)}
-               : std::vector<PropertyValue>{});
+      return store->AppendVertex(0, op.a, {PropertyValue(op.name)});
     case Op::kEdge:
       return store->AppendEdge(0, op.a, op.b, op.weight, op.ts);
     case Op::kUpdate:
@@ -179,35 +165,27 @@ Status StageOp(DurableStore* store, const Op& op, bool gart) {
   return Status::Internal("bad op");
 }
 
-/// Applies one scripted batch straight to a backend — the uninterrupted
+/// Applies one scripted batch straight to GART — the uninterrupted
 /// reference run the recovered store must match bit-for-bit.
-void ApplyBatchDirect(MutableGraphStore* store, const std::vector<Op>& ops,
-                      bool gart) {
+void ApplyBatchDirect(GartStore* store, const std::vector<Op>& ops) {
   for (const Op& op : ops) {
     switch (op.kind) {
       case Op::kVertex:
-        ASSERT_TRUE(store
-                        ->AppendVertex(
-                            0, op.a,
-                            gart ? std::vector<PropertyValue>{PropertyValue(
-                                       op.name)}
-                                 : std::vector<PropertyValue>{})
-                        .ok());
+        ASSERT_TRUE(store->AddVertex(0, op.a, {PropertyValue(op.name)}).ok());
         break;
       case Op::kEdge:
-        ASSERT_TRUE(
-            store->AppendEdge(0, op.a, op.b, op.weight, op.ts).ok());
+        ASSERT_TRUE(store->AddEdge(0, op.a, op.b, op.weight, op.ts).ok());
         break;
       case Op::kUpdate:
         ASSERT_TRUE(
             store->UpdateProperty(0, op.a, 0, PropertyValue(op.name)).ok());
         break;
       case Op::kRemove:
-        ASSERT_TRUE(store->RemoveEdge(0, op.a, op.b).ok());
+        ASSERT_TRUE(store->DeleteEdge(0, op.a, op.b).ok());
         break;
     }
   }
-  store->CommitBatch();
+  store->CommitVersion();
 }
 
 // ----------------------------------------------------- backend factories
@@ -224,16 +202,13 @@ GraphSchema GartSchema() {
   return schema;
 }
 
-/// Fresh backend in the WAL's base state — every open of a WAL must start
+/// Fresh store in the WAL's base state — every open of a WAL must start
 /// from the same base state, per the DurableStore::Open contract.
-std::shared_ptr<MutableGraphStore> FreshBackend(Backend backend) {
-  if (backend == Backend::kLiveGraph) {
-    return std::make_shared<LiveGraphStore>(2);
-  }
+std::shared_ptr<GartStore> FreshBackend(Backend backend) {
   auto store = backend == Backend::kGart ? GartStore::Create(GartSchema())
                                          : GartStore::Build(BaseGraph());
   EXPECT_TRUE(store.ok());
-  return std::shared_ptr<MutableGraphStore>(std::move(store).value());
+  return std::move(store).value();
 }
 
 // ----------------------------------------------------------- the harness
@@ -268,7 +243,6 @@ void RunCrashAndRecover(Backend backend, const std::string& site,
                         uint64_t nth, bool apply_site,
                         const std::string& wal) {
   SCOPED_TRACE(site + " nth=" + std::to_string(nth));
-  const bool gart = IsGart(backend);
   const Script script = MakeScript(ChaosSeed(), backend, /*num_batches=*/12);
 
   // --- the interrupted run -------------------------------------------
@@ -283,7 +257,7 @@ void RunCrashAndRecover(Backend backend, const std::string& site,
     for (const auto& batch : script.batches) {
       bool staged_ok = true;
       for (const Op& op : batch) {
-        if (!StageOp(ds.value().get(), op, gart).ok()) {
+        if (!StageOp(ds.value().get(), op).ok()) {
           staged_ok = false;
           break;
         }
@@ -314,16 +288,16 @@ void RunCrashAndRecover(Backend backend, const std::string& site,
   // --- the uninterrupted reference ------------------------------------
   auto reference = FreshBackend(backend);
   for (int b = 0; b < durable; ++b) {
-    ApplyBatchDirect(reference.get(), script.batches[b], gart);
+    ApplyBatchDirect(reference.get(), script.batches[b]);
   }
   EXPECT_EQ(SnapshotFingerprint(*recovered.value()->PinSnapshot()),
-            SnapshotFingerprint(*reference->PinSnapshot()));
+            SnapshotFingerprint(*reference->GetSnapshot()));
 
   // --- life after recovery: finish the script, reopen once more -------
   for (size_t b = static_cast<size_t>(durable); b < script.batches.size();
        ++b) {
     for (const Op& op : script.batches[b]) {
-      ASSERT_TRUE(StageOp(recovered.value().get(), op, gart).ok());
+      ASSERT_TRUE(StageOp(recovered.value().get(), op).ok());
     }
     auto epoch = recovered.value()->CommitBatch();
     ASSERT_TRUE(epoch.ok()) << "batch " << b << ": "
@@ -331,11 +305,11 @@ void RunCrashAndRecover(Backend backend, const std::string& site,
   }
   for (size_t b = static_cast<size_t>(durable); b < script.batches.size();
        ++b) {
-    ApplyBatchDirect(reference.get(), script.batches[b], gart);
+    ApplyBatchDirect(reference.get(), script.batches[b]);
   }
   const uint32_t final_fp =
       SnapshotFingerprint(*recovered.value()->PinSnapshot());
-  EXPECT_EQ(final_fp, SnapshotFingerprint(*reference->PinSnapshot()));
+  EXPECT_EQ(final_fp, SnapshotFingerprint(*reference->GetSnapshot()));
 
   auto reopened = DurableStore::Open(FreshBackend(backend), wal);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
@@ -367,7 +341,6 @@ TEST_P(CrashRecoveryTest, BackToBackCrashesStayConsistent) {
   // Crash, recover, crash again at a later point, recover again — the
   // second recovery must still match an uninterrupted reference.
   const Backend backend = GetParam();
-  const bool gart = IsGart(backend);
   const std::string wal = TempWalPath();
   const Script script = MakeScript(ChaosSeed() + 77, backend, 10);
 
@@ -383,7 +356,7 @@ TEST_P(CrashRecoveryTest, BackToBackCrashesStayConsistent) {
     for (size_t b = static_cast<size_t>(committed);
          b < script.batches.size(); ++b) {
       for (const Op& op : script.batches[b]) {
-        ASSERT_TRUE(StageOp(ds.value().get(), op, gart).ok());
+        ASSERT_TRUE(StageOp(ds.value().get(), op).ok());
       }
       if (!ds.value()->CommitBatch().ok()) break;
       ++committed;
@@ -395,22 +368,19 @@ TEST_P(CrashRecoveryTest, BackToBackCrashesStayConsistent) {
   ASSERT_TRUE(recovered.ok());
   auto reference = FreshBackend(backend);
   for (int b = 0; b < committed; ++b) {
-    ApplyBatchDirect(reference.get(), script.batches[b], gart);
+    ApplyBatchDirect(reference.get(), script.batches[b]);
   }
   EXPECT_EQ(SnapshotFingerprint(*recovered.value()->PinSnapshot()),
-            SnapshotFingerprint(*reference->PinSnapshot()));
+            SnapshotFingerprint(*reference->GetSnapshot()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, CrashRecoveryTest,
-    ::testing::Values(Backend::kGart, Backend::kLiveGraph,
-                      Backend::kGartBuilt),
+    ::testing::Values(Backend::kGart, Backend::kGartBuilt),
     [](const ::testing::TestParamInfo<Backend>& info) -> std::string {
       switch (info.param) {
         case Backend::kGart:
           return "Gart";
-        case Backend::kLiveGraph:
-          return "LiveGraph";
         case Backend::kGartBuilt:
           return "GartBuilt";
       }

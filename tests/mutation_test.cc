@@ -1,7 +1,8 @@
-// MutableGraphStore / DurableStore behavior tests: the uniform write API
-// on both dynamic backends, WAL commit/recover round-trips, MVCC property
-// updates, snapshot-isolation under concurrent readers, and a mixed
-// read/write SNB-style scenario running Cypher over pinned snapshots.
+// GART / DurableStore behavior tests: GART's write API, WAL
+// commit/recover round-trips, MVCC property updates, snapshot isolation
+// under concurrent readers (over an empty store and over a built base),
+// and a mixed read/write SNB-style scenario running Cypher over pinned
+// snapshots.
 
 #include <atomic>
 #include <chrono>
@@ -19,8 +20,6 @@
 #include "query/service.h"
 #include "storage/durable_store.h"
 #include "storage/gart/gart_store.h"
-#include "storage/livegraph/livegraph_store.h"
-#include "storage/mutable_store.h"
 
 namespace flex::storage {
 namespace {
@@ -72,10 +71,10 @@ GraphSchema SnbSchema() {
   return schema;
 }
 
-std::shared_ptr<MutableGraphStore> NewGart(const GraphSchema& schema) {
+std::shared_ptr<GartStore> NewGart(const GraphSchema& schema) {
   auto store = GartStore::Create(schema);
   EXPECT_TRUE(store.ok()) << store.status().message();
-  return std::shared_ptr<MutableGraphStore>(std::move(store).value());
+  return std::move(store).value();
 }
 
 // ------------------------------------------------- uniform write surface
@@ -83,18 +82,18 @@ std::shared_ptr<MutableGraphStore> NewGart(const GraphSchema& schema) {
 TEST_F(MutationTest, GartThroughBaseInterface) {
   auto store = NewGart(SimpleSchema());
   ASSERT_TRUE(
-      store->AppendVertex(0, 10, {PropertyValue(std::string("a"))}).ok());
+      store->AddVertex(0, 10, {PropertyValue(std::string("a"))}).ok());
   ASSERT_TRUE(
-      store->AppendVertex(0, 11, {PropertyValue(std::string("b"))}).ok());
-  ASSERT_TRUE(store->AppendEdge(0, 10, 11, 2.5, 7).ok());
+      store->AddVertex(0, 11, {PropertyValue(std::string("b"))}).ok());
+  ASSERT_TRUE(store->AddEdge(0, 10, 11, 2.5, 7).ok());
   EXPECT_EQ(store->read_version(), 0u);
   // Uncommitted writes are invisible to a snapshot pinned now.
-  auto before = store->PinSnapshot();
+  auto before = store->GetSnapshot();
   EXPECT_EQ(before->NumVerticesOfLabel(0), 0u);
 
-  EXPECT_EQ(store->CommitBatch(), 1u);
+  EXPECT_EQ(store->CommitVersion(), 1u);
   EXPECT_EQ(store->read_version(), 1u);
-  auto after = store->PinSnapshot();
+  auto after = store->GetSnapshot();
   EXPECT_EQ(after->SnapshotVersion(), 1u);
   EXPECT_EQ(after->NumVerticesOfLabel(0), 2u);
   auto found = after->FindVertex(0, 11);
@@ -107,15 +106,15 @@ TEST_F(MutationTest, GartThroughBaseInterface) {
 TEST_F(MutationTest, GartUpdatePropertyIsMvcc) {
   auto store = NewGart(SimpleSchema());
   ASSERT_TRUE(
-      store->AppendVertex(0, 10, {PropertyValue(std::string("old"))}).ok());
-  ASSERT_TRUE(store->CommitBatch() == 1u);
-  auto old_snap = store->PinSnapshot();
+      store->AddVertex(0, 10, {PropertyValue(std::string("old"))}).ok());
+  ASSERT_TRUE(store->CommitVersion() == 1u);
+  auto old_snap = store->GetSnapshot();
 
   ASSERT_TRUE(
       store->UpdateProperty(0, 10, 0, PropertyValue(std::string("new")))
           .ok());
-  ASSERT_TRUE(store->CommitBatch() == 2u);
-  auto new_snap = store->PinSnapshot();
+  ASSERT_TRUE(store->CommitVersion() == 2u);
+  auto new_snap = store->GetSnapshot();
 
   const vid_t v = old_snap->FindVertex(0, 10).value();
   EXPECT_EQ(old_snap->GetVertexProperty(v, 0).AsString(), "old");
@@ -130,35 +129,6 @@ TEST_F(MutationTest, GartUpdatePropertyIsMvcc) {
   EXPECT_EQ(
       store->UpdateProperty(0, 10, 9, PropertyValue(std::string("x"))).code(),
       StatusCode::kInvalidArgument);
-}
-
-TEST_F(MutationTest, LiveGraphShapeConstraints) {
-  auto store = std::make_shared<LiveGraphStore>(2);
-  MutableGraphStore* base = store.get();
-  // Dense oids: the next vid is the only legal append.
-  EXPECT_EQ(base->AppendVertex(0, 5, {}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(base->AppendVertex(0, 1, {}).status().code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ(base->AppendVertex(1, 2, {}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(base->AppendVertex(0, 2, {PropertyValue(true)}).status().code(),
-            StatusCode::kUnimplemented);
-  auto added = base->AppendVertex(0, 2, {});
-  ASSERT_TRUE(added.ok());
-  EXPECT_EQ(added.value(), 2u);
-  ASSERT_TRUE(base->AppendEdge(0, 0, 2, 1.5, 0).ok());
-  EXPECT_EQ(base->UpdateProperty(0, 0, 0, PropertyValue(true)).code(),
-            StatusCode::kUnimplemented);
-  EXPECT_EQ(base->CommitBatch(), 1u);
-
-  auto snap = base->PinSnapshot();
-  EXPECT_EQ(snap->NumVerticesOfLabel(0), 3u);
-  EXPECT_EQ(snap->Degree(0, Direction::kOut, 0), 1u);
-  // A pre-growth snapshot neither sees vertex 2 nor the edge.
-  auto old_snap = base->PinSnapshot(0);
-  EXPECT_EQ(old_snap->NumVerticesOfLabel(0), 2u);
-  EXPECT_EQ(old_snap->Degree(0, Direction::kOut, 0), 0u);
 }
 
 // --------------------------------------------------- durable round trips
@@ -241,48 +211,27 @@ TEST_F(MutationTest, DurableRejectedRecordFailStops) {
   EXPECT_EQ(s.CommitBatch().status().code(), StatusCode::kAborted);
 }
 
-TEST_F(MutationTest, DurableLiveGraphRoundTrip) {
-  const std::string wal = TempWalPath();
-  uint32_t fp = 0;
-  {
-    auto ds =
-        DurableStore::Open(std::make_shared<LiveGraphStore>(2), wal);
-    ASSERT_TRUE(ds.ok());
-    DurableStore& s = *ds.value();
-    ASSERT_TRUE(s.AppendVertex(0, 2, {}).ok());
-    ASSERT_TRUE(s.AppendEdge(0, 0, 2, 3.5, 0).ok());
-    ASSERT_TRUE(s.AppendEdge(0, 1, 2, 4.5, 0).ok());
-    ASSERT_TRUE(s.CommitBatch().ok());
-    ASSERT_TRUE(s.RemoveEdge(0, 1, 2).ok());
-    ASSERT_TRUE(s.CommitBatch().ok());
-    EXPECT_EQ(s.read_version(), 2u);
-    fp = SnapshotFingerprint(*s.PinSnapshot());
-  }
-  auto reopened =
-      DurableStore::Open(std::make_shared<LiveGraphStore>(2), wal);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-  EXPECT_EQ(reopened.value()->read_version(), 2u);
-  EXPECT_EQ(SnapshotFingerprint(*reopened.value()->PinSnapshot()), fp);
-}
-
 // ------------------------------------------- snapshot isolation (stress)
 
-/// Writer publishes `epochs` batches (2 vertices + 1 edge each) while
-/// `readers` concurrently pin snapshots and assert that whatever epoch
-/// they pinned, the (vertex, edge) counts are exactly that epoch's —
-/// never a half-batch.
-void RunIsolationStress(MutableGraphStore* store, int epochs, oid_t oid0) {
-  // expected[v] = counts visible at epoch v; filled before readers start
-  // (the vector itself is immutable while threads run).
-  struct Counts {
-    uint64_t vertices;
-    uint64_t edges;
-  };
+/// Vertex and edge counts visible at one epoch.
+struct Counts {
+  uint64_t vertices;
+  uint64_t edges;
+};
+
+/// Writer publishes `epochs` batches (2 vertices + 1 edge each) on top of
+/// `base`, what the store holds already, while readers concurrently pin
+/// snapshots and assert that whatever epoch they pinned, the (vertex,
+/// edge) counts are exactly that epoch's — never a half-batch.
+void RunIsolationStress(GartStore* store, int epochs, oid_t oid0,
+                        Counts base = {0, 0}) {
+  // expected[e] = counts visible e commits after `first`; filled before
+  // readers start (the vector itself is immutable while threads run).
+  const version_t first = store->read_version();
   std::vector<Counts> expected(epochs + 1);
-  const uint64_t base_vertices = store->PinSnapshot()->NumVerticesOfLabel(0);
-  for (int v = 0; v <= epochs; ++v) {
-    expected[v] = {base_vertices + 2 * static_cast<uint64_t>(v),
-                   static_cast<uint64_t>(v)};
+  for (int e = 0; e <= epochs; ++e) {
+    expected[e] = {base.vertices + 2 * static_cast<uint64_t>(e),
+                   base.edges + static_cast<uint64_t>(e)};
   }
 
   std::atomic<bool> done{false};
@@ -290,18 +239,20 @@ void RunIsolationStress(MutableGraphStore* store, int epochs, oid_t oid0) {
   for (int r = 0; r < 4; ++r) {
     pool.Submit([&] {
       do {
-        auto snap = store->PinSnapshot();
+        auto snap = store->GetSnapshot();
         const version_t v = snap->SnapshotVersion();
-        ASSERT_LE(v, static_cast<version_t>(epochs));
-        EXPECT_EQ(snap->NumVerticesOfLabel(0), expected[v].vertices)
+        ASSERT_GE(v, first);
+        ASSERT_LE(v - first, static_cast<version_t>(epochs));
+        const Counts& want = expected[v - first];
+        EXPECT_EQ(snap->NumVerticesOfLabel(0), want.vertices)
             << "epoch " << v;
         // Visible vertices are a prefix of the vid space; summing their
         // out-degrees at the pinned version counts committed edges only.
         uint64_t edges = 0;
-        for (vid_t i = 0; i < expected[v].vertices; ++i) {
+        for (vid_t i = 0; i < want.vertices; ++i) {
           edges += snap->Degree(i, Direction::kOut, 0);
         }
-        EXPECT_EQ(edges, expected[v].edges) << "epoch " << v;
+        EXPECT_EQ(edges, want.edges) << "epoch " << v;
       } while (!done.load(std::memory_order_acquire));
     });
   }
@@ -309,35 +260,50 @@ void RunIsolationStress(MutableGraphStore* store, int epochs, oid_t oid0) {
   for (int e = 0; e < epochs; ++e) {
     const oid_t a = oid0 + 2 * e;
     const oid_t b = a + 1;
-    ASSERT_TRUE(store->AppendVertex(0, a, {}).ok());
-    ASSERT_TRUE(store->AppendVertex(0, b, {}).ok());
-    ASSERT_TRUE(store->AppendEdge(0, a, b, 1.0, e).ok());
-    store->CommitBatch();
+    ASSERT_TRUE(store->AddVertex(0, a, {}).ok());
+    ASSERT_TRUE(store->AddVertex(0, b, {}).ok());
+    ASSERT_TRUE(store->AddEdge(0, a, b, 1.0, e).ok());
+    store->CommitVersion();
   }
   done.store(true, std::memory_order_release);
   pool.Wait();
 
-  EXPECT_EQ(store->read_version(), static_cast<version_t>(epochs));
-  auto final_snap = store->PinSnapshot();
+  EXPECT_EQ(store->read_version(), first + static_cast<version_t>(epochs));
+  auto final_snap = store->GetSnapshot();
   EXPECT_EQ(final_snap->NumVerticesOfLabel(0), expected[epochs].vertices);
 }
 
-TEST_F(MutationTest, GartSnapshotIsolationUnderConcurrentCommits) {
+/// One vertex label "V" {}, one edge label "E" {weight, ts}.
+GraphSchema StressSchema() {
   GraphSchema schema;
-  ASSERT_TRUE(schema.AddVertexLabel("V", {}).ok());
-  ASSERT_TRUE(schema
+  EXPECT_TRUE(schema.AddVertexLabel("V", {}).ok());
+  EXPECT_TRUE(schema
                   .AddEdgeLabel("E", 0, 0,
                                 {{"weight", PropertyType::kDouble},
                                  {"ts", PropertyType::kInt64}})
                   .ok());
-  auto store = NewGart(schema);
+  return schema;
+}
+
+TEST_F(MutationTest, GartSnapshotIsolationUnderConcurrentCommits) {
+  auto store = NewGart(StressSchema());
   RunIsolationStress(store.get(), 40, /*oid0=*/100);
 }
 
-TEST_F(MutationTest, LiveGraphSnapshotIsolationUnderConcurrentCommits) {
-  auto store = std::make_shared<LiveGraphStore>(0);
-  // LiveGraph oids are dense from 0.
-  RunIsolationStress(store.get(), 40, /*oid0=*/0);
+TEST_F(MutationTest, GartBuiltSnapshotIsolationUnderConcurrentCommits) {
+  // The htap shape: pinned readers over a built base plus the log while
+  // the writer commits. The base is 16 vertices, each with two out-edges.
+  PropertyGraphData data;
+  data.schema = StressSchema();
+  for (oid_t i = 0; i < 16; ++i) data.AddVertex(0, i, {});
+  for (oid_t i = 0; i < 16; ++i) {
+    for (const oid_t dst : {(i + 1) % 16, (i * 7 + 3) % 16}) {
+      data.AddEdge(0, i, dst, {PropertyValue(1.0), PropertyValue(i)});
+    }
+  }
+  auto store = GartStore::Build(data);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  RunIsolationStress(store.value().get(), 40, /*oid0=*/100, {16, 32});
 }
 
 // ------------------------------------- mixed read/write (SNB-style, MVCC)
@@ -351,7 +317,7 @@ TEST_F(MutationTest, MixedCypherReadsOverPinnedSnapshotsDuringWrites) {
   for (int r = 0; r < 3; ++r) {
     pool.Submit([&] {
       do {
-        auto snap = store->PinSnapshot();
+        auto snap = store->GetSnapshot();
         const version_t v = snap->SnapshotVersion();
         // A full interactive stack over the pinned view: the graph is
         // bound at construction, so every query answers at epoch v even
@@ -375,22 +341,22 @@ TEST_F(MutationTest, MixedCypherReadsOverPinnedSnapshotsDuringWrites) {
   // equal the pinned epoch number exactly.
   for (int e = 1; e <= kEpochs; ++e) {
     ASSERT_TRUE(store
-                    ->AppendVertex(0, 1000 + e,
-                                   {PropertyValue(std::string("p") +
-                                                  std::to_string(e))})
+                    ->AddVertex(0, 1000 + e,
+                                {PropertyValue(std::string("p") +
+                                               std::to_string(e))})
                     .ok());
     ASSERT_TRUE(store
-                    ->AppendVertex(1, 2000 + e,
-                                   {PropertyValue(std::string("post") +
-                                                  std::to_string(e))})
+                    ->AddVertex(1, 2000 + e,
+                                {PropertyValue(std::string("post") +
+                                               std::to_string(e))})
                     .ok());
-    ASSERT_TRUE(store->AppendEdge(0, 1000 + e, 2000 + e, 1.0, e).ok());
-    EXPECT_EQ(store->CommitBatch(), static_cast<version_t>(e));
+    ASSERT_TRUE(store->AddEdge(0, 1000 + e, 2000 + e, 1.0, e).ok());
+    EXPECT_EQ(store->CommitVersion(), static_cast<version_t>(e));
   }
   done.store(true, std::memory_order_release);
   pool.Wait();
 
-  auto snap = store->PinSnapshot();
+  auto snap = store->GetSnapshot();
   query::QueryService service(snap.get(), 2);
   auto rows = service.Run(query::Language::kCypher,
                           "MATCH (p:Person) RETURN p.name");

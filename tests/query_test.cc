@@ -721,6 +721,77 @@ TEST_F(QueryTest, DeeplyNestedArithmeticIsAParseError) {
             StatusCode::kParseError);
 }
 
+/// `terms` copies of `term` joined by `op`.
+std::string Chain(const std::string& term, const std::string& op,
+                  size_t terms) {
+  std::string text = term;
+  for (size_t i = 1; i < terms; ++i) text += op + term;
+  return text;
+}
+
+TEST_F(QueryTest, FlatOperatorChainIsAParseError) {
+  // No parentheses: a left-deep chain grows one level per operator. At
+  // 2,000,000 terms the parser itself used to overflow the stack.
+  EXPECT_EQ(lang::ParseCypher("MATCH (b:Buyer) RETURN " +
+                                  Chain("1", " + ", 2000000),
+                              graph_->schema())
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  // A 200-term chain still runs everywhere.
+  EXPECT_EQ(RunEverywhere(Language::kCypher,
+                          "MATCH (b:Buyer {id: 1}) RETURN " +
+                              Chain("1", " + ", 200)),
+            (std::vector<std::string>{"200"}));
+}
+
+TEST_F(QueryTest, LongOperatorChainOnHiActorIsAParseError) {
+  // At 20,000 terms, evaluating the chain on HiActor used to overflow the
+  // stack.
+  QueryService service(graph_.get(), 2);
+  EXPECT_EQ(service
+                .Run(Language::kCypher,
+                     "MATCH (b:Buyer) RETURN " + Chain("1", " + ", 20000),
+                     EngineKind::kHiActor)
+                .status()
+                .code(),
+            StatusCode::kParseError);
+}
+
+TEST_F(QueryTest, LongGremlinFilterChainIsAParseError) {
+  // 50,000 has() steps: the optimizer would AND the SELECTs into one
+  // left-deep predicate.
+  std::string text = "g.V().hasLabel('Buyer')";
+  for (int i = 0; i < 50000; ++i) text += ".has('credits', 10)";
+  QueryService service(graph_.get(), 2);
+  for (EngineKind engine : {EngineKind::kGaia, EngineKind::kHiActor}) {
+    EXPECT_EQ(service.Run(Language::kGremlin, text, engine).status().code(),
+              StatusCode::kParseError);
+  }
+  NaiveGraphDB naive(graph_.get());
+  EXPECT_EQ(naive.Run(Language::kGremlin, text).status().code(),
+            StatusCode::kParseError);
+}
+
+TEST_F(QueryTest, LongFixedLengthMatchIsAParseError) {
+  // 20,000 hops around a self-loop, so one row reaches every operator: the
+  // streaming reference recursed once per operator.
+  PropertyGraphData data;
+  const label_t v = data.schema.AddVertexLabel("V", {}).value();
+  const label_t e = data.schema.AddEdgeLabel("E", v, v, {}).value();
+  data.AddVertex(v, 0, {});
+  data.AddEdge(e, 0, 0, {});
+  auto store = storage::VineyardStore::Build(data).value();
+  auto graph = store->GetGrinHandle();
+  std::string text = "MATCH (a:V)";
+  for (int i = 0; i < 20000; ++i) text += "-[:E]->(:V)";
+  NaiveGraphDB naive(graph.get());
+  EXPECT_EQ(naive.Run(Language::kCypher, text + " RETURN count(a)")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+}
+
 // ----------------------------------------------------- Randomized check
 
 TEST_F(QueryTest, RandomGraphTwoHopAgainstBruteForce) {

@@ -18,7 +18,6 @@
 #include "storage/graphar/csv.h"
 #include "storage/graphar/encoding.h"
 #include "storage/graphar/graphar.h"
-#include "storage/livegraph/livegraph_store.h"
 #include "storage/simple.h"
 #include "storage/vineyard/vineyard_store.h"
 
@@ -623,7 +622,7 @@ TEST(GartTest, BaseAndLogMatchVineyardOfTheVisibleState) {
       ++ops[kind];
     }
     store->CommitVersion();
-    snapshots.push_back(store->PinSnapshot(store->read_version()));
+    snapshots.push_back(store->GetSnapshot(store->read_version()));
     fingerprints.push_back(SnapshotFingerprint(*snapshots.back()));
     auto vineyard = VineyardStore::Build(expected).value();
     SCOPED_TRACE("commit " + std::to_string(commit));
@@ -716,41 +715,13 @@ TEST(GartTest, ReadersScanBaseVerticesWhileTheirChainsGrow) {
   EXPECT_EQ(store->CountEdges(e), live.size());
 }
 
-// ------------------------------------------------------------ LiveGraph
-
-TEST(LiveGraphTest, VersionedAddDelete) {
-  LiveGraphStore store(4);
-  ASSERT_TRUE(store.AddEdge(0, 1).ok());
-  ASSERT_TRUE(store.AddEdge(0, 2).ok());
-  const version_t v1 = store.CommitVersion();
-  ASSERT_TRUE(store.DeleteEdge(0, 1).ok());
-  const version_t v2 = store.CommitVersion();
-  EXPECT_EQ(store.CountEdges(v1), 2u);
-  EXPECT_EQ(store.CountEdges(v2), 1u);
-  EXPECT_FALSE(store.DeleteEdge(0, 3).ok());
-  EXPECT_FALSE(store.AddEdge(9, 0).ok());
-}
-
-TEST(LiveGraphTest, GrinSnapshotScan) {
-  EdgeList list = datagen::GenerateUniform(100, 600, 4);
-  auto store = LiveGraphStore::Build(list);
-  auto g = store->GetSnapshot();
-  size_t total = 0;
-  for (vid_t v = 0; v < 100; ++v) {
-    grin::ForEachAdj(*g, v, Direction::kOut, 0,
-                     [&](vid_t, double, eid_t) { ++total; return true; });
-  }
-  EXPECT_EQ(total, 600u);
-}
-
-TEST(LiveGraphTest, MatchesGartLiveSet) {
-  // Same random add/delete trace applied to both dynamic stores ends in the
-  // same live edge set.
+TEST(GartTest, AddDeleteTraceMatchesLiveSet) {
+  // A random add/delete trace ends in the live edge set a std::set
+  // reference tracks.
   GraphSchema schema;
   label_t v = schema.AddVertexLabel("V", {}).value();
   label_t e = schema.AddEdgeLabel("E", v, v, {}).value();
   auto gart = GartStore::Create(schema).value();
-  LiveGraphStore live(50);
   for (oid_t i = 0; i < 50; ++i) ASSERT_TRUE(gart->AddVertex(v, i, {}).ok());
   Rng rng(17);
   std::set<std::pair<vid_t, vid_t>> reference;
@@ -760,19 +731,15 @@ TEST(LiveGraphTest, MatchesGartLiveSet) {
     if (rng.Bernoulli(0.7) || !reference.count({s, d})) {
       if (!reference.count({s, d})) {
         ASSERT_TRUE(gart->AddEdge(e, s, d).ok());
-        ASSERT_TRUE(live.AddEdge(s, d).ok());
         reference.insert({s, d});
       }
     } else {
       ASSERT_TRUE(gart->DeleteEdge(e, s, d).ok());
-      ASSERT_TRUE(live.DeleteEdge(s, d).ok());
       reference.erase({s, d});
     }
   }
   gart->CommitVersion();
-  live.CommitVersion();
   EXPECT_EQ(gart->CountEdges(e), reference.size());
-  EXPECT_EQ(live.CountEdges(live.read_version()), reference.size());
 
   auto snap = gart->GetSnapshot();
   for (vid_t s = 0; s < 50; ++s) {
@@ -784,8 +751,9 @@ TEST(LiveGraphTest, MatchesGartLiveSet) {
                        return true;
                      });
     std::set<vid_t> live_nbrs;
-    live.ForEachOut(s, live.read_version(),
-                    [&](vid_t n, double) { live_nbrs.insert(n); });
+    for (const auto& [src, dst] : reference) {
+      if (src == s) live_nbrs.insert(dst);
+    }
     EXPECT_EQ(gart_nbrs, live_nbrs) << "vertex " << s;
   }
 }

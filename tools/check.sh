@@ -43,8 +43,9 @@
 # The crash pass is the durability harness: it reuses the ASan+UBSan
 # build tree and re-runs tests/crash_recovery_test across the chaos
 # seeds, so the writer-kill -> recover -> fingerprint-compare cycle (WAL
-# torn appends, lost fsyncs, mid-apply deaths on both dynamic backends)
-# is exercised with several injection schedules under sanitizers.
+# torn appends, lost fsyncs, mid-apply deaths on GART, from empty and on
+# a built base) is exercised with several injection schedules under
+# sanitizers.
 #
 # The static pass builds only the two analyzers (flexlint for per-line
 # invariants, flexcheck for the cross-TU concurrency/propagation

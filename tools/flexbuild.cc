@@ -68,7 +68,8 @@ const Component kComponents[] = {
      {20}},
     {22, "GART (dynamic MVCC store)", "storage", "flex_storage", {20}},
     {23, "GraphAr (archive format)", "storage", "flex_storage", {20}},
-    {24, "LiveGraph-style baseline store", "storage", "flex_storage", {20}},
+    {24, "LiveGraph-style baseline store", "storage", "flex_baselines",
+     {20}},
 };
 
 const Component* Find(int id) {
