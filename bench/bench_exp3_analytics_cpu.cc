@@ -6,18 +6,53 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "baselines/analytics_baselines.h"
 #include "bench/bench_util.h"
+#include "common/metric_names.h"
+#include "common/metrics.h"
+#include "common/timer.h"
+#include "datagen/generators.h"
 #include "datagen/registry.h"
 #include "grape/apps/pagerank.h"
 #include "grape/apps/traversal.h"
 
 namespace {
 
+/// One sweep cell: mean wall time per run, and the shares of the workers'
+/// time (fragments x wall) spent computing and blocked at barriers, read
+/// from flex_pie_compute_us and flex_pie_barrier_wait_us over the timed
+/// runs. The rest is flush and the superstep leaders' bookkeeping.
+struct Cell {
+  double ms = 0.0;
+  double compute_share = 0.0;
+  double wait_share = 0.0;
+};
+
+Cell TimeCell(const std::function<void()>& fn, int reps, size_t nfrag) {
+  using namespace flex::metrics;
+  Histogram* compute =
+      MetricsRegistry::Instance().GetHistogram(kPieComputeUs);
+  Histogram* wait = MetricsRegistry::Instance().GetHistogram(kPieBarrierWaitUs);
+  fn();  // Warmup.
+  const uint64_t compute0 = compute->SumMicros();
+  const uint64_t wait0 = wait->SumMicros();
+  flex::Timer timer;
+  for (int r = 0; r < reps; ++r) fn();
+  const double wall_us = timer.ElapsedMicros();
+  const double worker_us = wall_us * static_cast<double>(nfrag);
+  return {wall_us / 1e3 / reps,
+          static_cast<double>(compute->SumMicros() - compute0) / worker_us,
+          static_cast<double>(wait->SumMicros() - wait0) / worker_us};
+}
+
 /// Fragment-count scaling sweep: PageRank + BFS wall times at 1/2/4/8
-/// fragments on FB0 and G500. These are the numbers the perf ratchet
+/// fragments on FB0, G500 and flexbench analytics' graph shape (RMAT
+/// scale 18, edge factor 16, fixed seed), where per-edge work outweighs
+/// the fixed superstep costs. These are the numbers the perf ratchet
 /// tracks — `--json=PATH` writes them in the BENCH_exp3_analytics.json
 /// schema that tools/bench_compare.py diffs against the committed
 /// baseline (>15% regression fails `tools/check.sh bench`).
@@ -25,32 +60,44 @@ void RunScalingSweep(const std::string& json_path) {
   using namespace flex;
   const int kPrIters = 10;
   const size_t kFragCounts[] = {1, 2, 4, 8};
-  const char* datasets[] = {"FB0", "G500"};
+  struct Dataset {
+    const char* abbr;
+    EdgeList graph;
+  };
+  std::vector<Dataset> datasets;
+  for (const char* abbr : {"FB0", "G500"}) {
+    datasets.push_back(
+        {abbr, datagen::Generate(datagen::FindDataset(abbr).value())});
+  }
+  datasets.push_back(
+      {"RMAT18", datagen::GenerateRmat({.scale = 18, .edge_factor = 16.0,
+                                        .seed = 1})});
 
   bench::PrintHeader(
       "Exp-3 scaling: PageRank + BFS vs fragment count (superstep comm path)");
-  std::printf("%-8s %6s %12s %12s\n", "dataset", "frags", "PageRank", "BFS");
+  std::printf("%-8s %6s %12s %9s %7s %12s %9s %7s\n", "dataset", "frags",
+              "PageRank", "compute", "wait", "BFS", "compute", "wait");
 
   std::string json = "{\n  \"bench\": \"exp3_analytics\",\n  \"results\": [\n";
   bool first = true;
-  for (const char* abbr : datasets) {
-    EdgeList g = datagen::Generate(datagen::FindDataset(abbr).value());
+  for (const Dataset& d : datasets) {
     for (size_t nfrag : kFragCounts) {
-      EdgeCutPartitioner part(g.num_vertices,
+      EdgeCutPartitioner part(d.graph.num_vertices,
                               static_cast<partition_t>(nfrag));
-      auto frags = grape::Partition(g, part);
-      const double pr_ms = bench::TimeMs(
-          [&] { grape::RunPageRank(frags, kPrIters); }, 2);
-      const double bfs_ms =
-          bench::TimeMs([&] { grape::RunBfs(frags, 0); }, 2);
-      std::printf("%-8s %6zu %10.1fms %10.1fms\n", abbr, nfrag, pr_ms,
-                  bfs_ms);
+      auto frags = grape::Partition(d.graph, part);
+      const Cell pr = TimeCell(
+          [&] { grape::RunPageRank(frags, kPrIters); }, 2, nfrag);
+      const Cell bfs = TimeCell([&] { grape::RunBfs(frags, 0); }, 2, nfrag);
+      std::printf("%-8s %6zu %10.1fms %8.0f%% %6.0f%% %10.1fms %8.0f%% %6.0f%%\n",
+                  d.abbr, nfrag, pr.ms, 100 * pr.compute_share,
+                  100 * pr.wait_share, bfs.ms, 100 * bfs.compute_share,
+                  100 * bfs.wait_share);
       char row[256];
       std::snprintf(row, sizeof(row),
                     "%s    {\"name\": \"pagerank_%s_f%zu\", \"ms\": %.2f},\n"
                     "    {\"name\": \"bfs_%s_f%zu\", \"ms\": %.2f}",
-                    first ? "" : ",\n", abbr, nfrag, pr_ms, abbr, nfrag,
-                    bfs_ms);
+                    first ? "" : ",\n", d.abbr, nfrag, pr.ms, d.abbr, nfrag,
+                    bfs.ms);
       json += row;
       first = false;
     }

@@ -46,6 +46,8 @@ inline constexpr char kPieSuperstepsTotal[] = "flex_pie_supersteps_total";
 inline constexpr char kPieRecoveriesTotal[] = "flex_pie_recoveries_total";
 inline constexpr char kPieSuperstepDurationUs[] =
     "flex_pie_superstep_duration_us";
+inline constexpr char kPieComputeUs[] = "flex_pie_compute_us";
+inline constexpr char kPieBarrierWaitUs[] = "flex_pie_barrier_wait_us";
 
 // --- MessageManager ---
 inline constexpr char kMsgsSentTotal[] = "flex_msgs_sent_total";

@@ -178,6 +178,11 @@ constexpr MetricSpec kStackMetrics[] = {
      "Damaged frames repaired by retained-payload retransmission."},
     {kMsgsSentTotal, "counter",
      "Messages handed to MessageManager::Send across all fragments."},
+    {kPieBarrierWaitUs, "histogram",
+     "Time one fragment worker spent blocked in one superstep's barrier "
+     "awaits, microseconds."},
+    {kPieComputeUs, "histogram",
+     "One fragment's PEval or IncEval in one superstep, microseconds."},
     {kPieRecoveriesTotal, "counter",
      "Fail-stopped fragment computes re-executed by the superstep leader."},
     {kPieSuperstepDurationUs, "histogram",

@@ -3,9 +3,10 @@
 namespace flex::grape {
 
 void CdlpApp::PEval(const Fragment& frag, PieContext<uint32_t>& ctx) {
-  label_.assign(frag.total_vertices(), kInvalidVid);
-  histogram_.assign(frag.total_vertices(), {});
-  for (vid_t v : frag.inner_vertices()) label_[v] = v;
+  frag_ = &frag;
+  label_.assign(frag.ivnum(), kInvalidVid);
+  histogram_.assign(frag.ivnum(), {});
+  for (vid_t v = 0; v < frag.ivnum(); ++v) label_[v] = frag.Gid(v);
   if (rounds_ > 0) SendLabels(frag, ctx);
 }
 
@@ -13,7 +14,7 @@ void CdlpApp::IncEval(const Fragment& frag, PieContext<uint32_t>& ctx) {
   ctx.ForEachMessage([&](vid_t target, uint32_t label) {
     ++histogram_[target][label];
   });
-  for (vid_t v : frag.inner_vertices()) {
+  for (vid_t v = 0; v < frag.ivnum(); ++v) {
     auto& hist = histogram_[v];
     if (hist.empty()) continue;
     uint32_t best_label = label_[v];
@@ -32,7 +33,7 @@ void CdlpApp::IncEval(const Fragment& frag, PieContext<uint32_t>& ctx) {
 }
 
 void CdlpApp::SendLabels(const Fragment& frag, PieContext<uint32_t>& ctx) {
-  for (vid_t v : frag.inner_vertices()) {
+  for (vid_t v = 0; v < frag.ivnum(); ++v) {
     const uint32_t label = label_[v];
     for (vid_t u : frag.OutNeighbors(v)) ctx.SendTo(u, label);
     for (vid_t u : frag.InNeighbors(v)) ctx.SendTo(u, label);

@@ -20,13 +20,15 @@ class CdlpApp : public PieApp<uint32_t> {
   void PEval(const Fragment& frag, PieContext<uint32_t>& ctx) override;
   void IncEval(const Fragment& frag, PieContext<uint32_t>& ctx) override;
 
-  const std::vector<uint32_t>& labels() const { return label_; }
+  /// Label of every inner vertex, read by global id.
+  GlobalView<uint32_t> labels() const { return {frag_, &label_}; }
 
  private:
   void SendLabels(const Fragment& frag, PieContext<uint32_t>& ctx);
 
   int rounds_;
-  std::vector<uint32_t> label_;
+  const Fragment* frag_ = nullptr;
+  std::vector<uint32_t> label_;  // Per inner vertex.
   /// Per-inner-vertex label histogram of the current round, reused across
   /// rounds to avoid reallocation.
   std::vector<std::unordered_map<uint32_t, uint32_t>> histogram_;

@@ -3,14 +3,14 @@
 namespace flex::grape {
 
 void KCoreApp::PEval(const Fragment& frag, PieContext<uint32_t>& ctx) {
-  degree_.assign(frag.total_vertices(), 0);
-  alive_.assign(frag.total_vertices(), 0);
-  for (vid_t v : frag.inner_vertices()) {
+  frag_ = &frag;
+  degree_.resize(frag.ivnum());
+  alive_.assign(frag.ivnum(), 1);
+  for (vid_t v = 0; v < frag.ivnum(); ++v) {
     degree_[v] =
         static_cast<uint32_t>(frag.OutDegree(v) + frag.InDegree(v));
-    alive_[v] = 1;
   }
-  for (vid_t v : frag.inner_vertices()) {
+  for (vid_t v = 0; v < frag.ivnum(); ++v) {
     if (degree_[v] < k_) Remove(frag, ctx, v);
   }
 }

@@ -18,14 +18,16 @@ class KCoreApp : public PieApp<uint32_t> {
   void PEval(const Fragment& frag, PieContext<uint32_t>& ctx) override;
   void IncEval(const Fragment& frag, PieContext<uint32_t>& ctx) override;
 
-  const std::vector<uint8_t>& alive() const { return alive_; }
+  /// Whether each inner vertex survives the peeling, read by global id.
+  GlobalView<uint8_t> alive() const { return {frag_, &alive_}; }
 
  private:
   void Remove(const Fragment& frag, PieContext<uint32_t>& ctx, vid_t v);
 
   uint32_t k_;
-  std::vector<uint32_t> degree_;
-  std::vector<uint8_t> alive_;
+  const Fragment* frag_ = nullptr;
+  std::vector<uint32_t> degree_;  // Per inner vertex.
+  std::vector<uint8_t> alive_;    // Per inner vertex.
 };
 
 /// Returns, per vertex, whether it belongs to the k-core.

@@ -4,10 +4,9 @@ namespace flex::grape {
 
 void PageRankApp::PEval(const Fragment& frag, PieContext<double>& ctx) {
   const double n = static_cast<double>(frag.total_vertices());
-  rank_.assign(frag.total_vertices(), 0.0);
-  accum_.assign(frag.total_vertices(), 0.0);
-  touched_outer_.clear();
-  for (vid_t v : frag.inner_vertices()) rank_[v] = 1.0 / n;
+  frag_ = &frag;
+  rank_.assign(frag.ivnum(), 1.0 / n);
+  accum_.assign(frag.num_local(), 0.0);
   if (iterations_ > 0) SendContributions(frag, ctx);
 }
 
@@ -22,7 +21,7 @@ void PageRankApp::IncEval(const Fragment& frag, PieContext<double>& ctx) {
     }
   });
   const double base = (1.0 - damping_) / n + damping_ * dangling / n;
-  for (vid_t v : frag.inner_vertices()) {
+  for (vid_t v = 0; v < frag.ivnum(); ++v) {
     rank_[v] = base + damping_ * accum_[v];
     accum_[v] = 0.0;
   }
@@ -31,33 +30,28 @@ void PageRankApp::IncEval(const Fragment& frag, PieContext<double>& ctx) {
 
 void PageRankApp::SendContributions(const Fragment& frag,
                                     PieContext<double>& ctx) {
-  // GRAPE's message discipline: contributions to *inner* neighbors fold
-  // straight into the local accumulator; contributions to *outer*
-  // neighbors are combined per target vertex and shipped as one message
-  // each — the "aggregate fragmented small messages into a continuous
-  // compact buffer" strategy of §6, plus a per-target sum combiner.
+  // GRAPE's message discipline: every out-edge adds into one dense
+  // accumulator over local ids, with no branch on the target. Inner slots
+  // are next round's local sums; outer slots combine each target's
+  // contributions into one message, sent in owner order — the "aggregate
+  // fragmented small messages into a continuous compact buffer" strategy
+  // of §6, plus a per-target sum combiner.
   double dangling_local = 0.0;
-  for (vid_t v : frag.inner_vertices()) {
+  for (vid_t v = 0; v < frag.ivnum(); ++v) {
     const auto nbrs = frag.OutNeighbors(v);
     if (nbrs.empty()) {
       dangling_local += rank_[v];
       continue;
     }
     const double contribution = rank_[v] / static_cast<double>(nbrs.size());
-    for (vid_t u : nbrs) {
-      if (frag.IsInner(u)) {
-        accum_[u] += contribution;
-      } else {
-        if (accum_[u] == 0.0) touched_outer_.push_back(u);
-        accum_[u] += contribution;
-      }
-    }
+    for (vid_t u : nbrs) accum_[u] += contribution;
   }
-  for (vid_t u : touched_outer_) {
+  // Outer vertices reached only by in-edges stay at zero and send nothing.
+  for (vid_t u = frag.ivnum(); u < frag.num_local(); ++u) {
+    if (accum_[u] == 0.0) continue;
     ctx.SendTo(u, accum_[u]);
     accum_[u] = 0.0;
   }
-  touched_outer_.clear();
   ctx.Broadcast(dangling_local);
 }
 

@@ -22,21 +22,20 @@ class PageRankApp : public PieApp<double> {
   void PEval(const Fragment& frag, PieContext<double>& ctx) override;
   void IncEval(const Fragment& frag, PieContext<double>& ctx) override;
 
-  /// Final ranks of this fragment's inner vertices (global-size array;
-  /// entries for outer vertices are meaningless).
-  const std::vector<double>& ranks() const { return rank_; }
+  /// Final ranks of this fragment's inner vertices, read by global id.
+  GlobalView<double> ranks() const { return {frag_, &rank_}; }
 
  private:
   void SendContributions(const Fragment& frag, PieContext<double>& ctx);
 
   int iterations_;
   double damping_;
-  std::vector<double> rank_;
-  /// Accumulator doubling as the outbound combiner: inner slots collect
-  /// local contributions for the next round, outer slots stage per-target
-  /// combined messages (the two vid sets are disjoint).
+  const Fragment* frag_ = nullptr;
+  std::vector<double> rank_;  // Per inner vertex.
+  /// Per local vertex, the accumulator doubling as the outbound combiner:
+  /// inner slots collect local contributions for the next round, outer
+  /// slots stage one combined message per target.
   std::vector<double> accum_;
-  std::vector<vid_t> touched_outer_;
 };
 
 /// Runs `iterations` rounds on prebuilt fragments and merges the ranks into

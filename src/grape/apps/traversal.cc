@@ -10,10 +10,13 @@ namespace flex::grape {
 // (minimum) message per outer target per round.
 
 void BfsApp::PEval(const Fragment& frag, PieContext<uint32_t>& ctx) {
-  depth_.assign(frag.total_vertices(), kUnreachedDepth);
-  if (frag.IsInner(source_)) {
-    depth_[source_] = 0;
-    worklist_.push_back(source_);
+  frag_ = &frag;
+  depth_.assign(frag.num_local(), kUnreachedDepth);
+  dirty_outer_flag_.assign(frag.num_local(), 0);
+  const vid_t source = frag.Lid(source_);
+  if (frag.IsInner(source)) {
+    depth_[source] = 0;
+    worklist_.push_back(source);
   }
   LocalFixpoint(frag, ctx);
 }
@@ -29,9 +32,6 @@ void BfsApp::IncEval(const Fragment& frag, PieContext<uint32_t>& ctx) {
 }
 
 void BfsApp::LocalFixpoint(const Fragment& frag, PieContext<uint32_t>& ctx) {
-  if (dirty_outer_flag_.empty() && frag.total_vertices() > 0) {
-    dirty_outer_flag_.assign(frag.total_vertices(), 0);
-  }
   auto mark_outer = [&](vid_t u) {
     if (!dirty_outer_flag_[u]) {
       dirty_outer_flag_[u] = 1;
@@ -58,7 +58,7 @@ void BfsApp::LocalFixpoint(const Fragment& frag, PieContext<uint32_t>& ctx) {
     if (uniform && frontier_edges * 20 > local_edges) {
       // Pull: unreached vertices probe local in-neighbors for the current
       // level, breaking at the first hit (the hub-friendly direction).
-      for (vid_t v : frag.inner_vertices()) {
+      for (vid_t v = 0; v < frag.ivnum(); ++v) {
         if (depth_[v] != kUnreachedDepth) continue;
         for (vid_t u : frag.InNeighbors(v)) {
           if (depth_[u] == level) {
@@ -115,10 +115,13 @@ std::vector<uint32_t> RunBfs(
 // ------------------------------------------------------------------- SSSP
 
 void SsspApp::PEval(const Fragment& frag, PieContext<double>& ctx) {
-  dist_.assign(frag.total_vertices(), kUnreachedDist);
-  if (frag.IsInner(source_)) {
-    dist_[source_] = 0.0;
-    worklist_.push_back(source_);
+  frag_ = &frag;
+  dist_.assign(frag.num_local(), kUnreachedDist);
+  dirty_outer_flag_.assign(frag.num_local(), 0);
+  const vid_t source = frag.Lid(source_);
+  if (frag.IsInner(source)) {
+    dist_[source] = 0.0;
+    worklist_.push_back(source);
   }
   LocalFixpoint(frag, ctx);
 }
@@ -134,9 +137,6 @@ void SsspApp::IncEval(const Fragment& frag, PieContext<double>& ctx) {
 }
 
 void SsspApp::LocalFixpoint(const Fragment& frag, PieContext<double>& ctx) {
-  if (dirty_outer_flag_.empty() && frag.total_vertices() > 0) {
-    dirty_outer_flag_.assign(frag.total_vertices(), 0);
-  }
   size_t cursor = 0;
   while (cursor < worklist_.size()) {
     const vid_t v = worklist_[cursor++];
@@ -175,10 +175,11 @@ std::vector<double> RunSssp(
 // -------------------------------------------------------------------- WCC
 
 void WccApp::PEval(const Fragment& frag, PieContext<uint32_t>& ctx) {
-  label_.assign(frag.total_vertices(), kInvalidVid);
-  dirty_outer_flag_.assign(frag.total_vertices(), 0);
-  for (vid_t v : frag.inner_vertices()) {
-    label_[v] = v;
+  frag_ = &frag;
+  label_.assign(frag.num_local(), kInvalidVid);
+  dirty_outer_flag_.assign(frag.num_local(), 0);
+  for (vid_t v = 0; v < frag.ivnum(); ++v) {
+    label_[v] = frag.Gid(v);
     worklist_.push_back(v);
   }
   LocalFixpoint(frag, ctx);

@@ -18,7 +18,8 @@ inline constexpr double kUnreachedDist = std::numeric_limits<double>::max();
 /// traversal on the fragment, IncEval folds in boundary improvements and
 /// re-runs the local fixpoint; only cross-fragment improvements travel,
 /// one min-combined message per outer target per round. Directed
-/// traversal along out edges, per Graphalytics BFS.
+/// traversal along out edges, per Graphalytics BFS. A source that no
+/// fragment owns (at or past total_vertices()) reaches nothing.
 class BfsApp : public PieApp<uint32_t> {
  public:
   explicit BfsApp(vid_t source) : source_(source) {}
@@ -26,13 +27,15 @@ class BfsApp : public PieApp<uint32_t> {
   void PEval(const Fragment& frag, PieContext<uint32_t>& ctx) override;
   void IncEval(const Fragment& frag, PieContext<uint32_t>& ctx) override;
 
-  const std::vector<uint32_t>& depths() const { return depth_; }
+  /// Depth of every local vertex, read by global id.
+  GlobalView<uint32_t> depths() const { return {frag_, &depth_}; }
 
  private:
   void LocalFixpoint(const Fragment& frag, PieContext<uint32_t>& ctx);
 
   vid_t source_;
-  std::vector<uint32_t> depth_;
+  const Fragment* frag_ = nullptr;
+  std::vector<uint32_t> depth_;  // Per local vertex.
   std::vector<vid_t> worklist_;
   std::vector<vid_t> dirty_outer_;
   std::vector<uint8_t> dirty_outer_flag_;
@@ -42,7 +45,8 @@ std::vector<uint32_t> RunBfs(
     const std::vector<std::unique_ptr<Fragment>>& fragments, vid_t source);
 
 /// Single-source shortest paths (PIE): local Bellman-Ford fixpoint per
-/// round, min-combined boundary messages.
+/// round, min-combined boundary messages. A source that no fragment owns
+/// reaches nothing.
 class SsspApp : public PieApp<double> {
  public:
   explicit SsspApp(vid_t source) : source_(source) {}
@@ -50,13 +54,15 @@ class SsspApp : public PieApp<double> {
   void PEval(const Fragment& frag, PieContext<double>& ctx) override;
   void IncEval(const Fragment& frag, PieContext<double>& ctx) override;
 
-  const std::vector<double>& distances() const { return dist_; }
+  /// Distance of every local vertex, read by global id.
+  GlobalView<double> distances() const { return {frag_, &dist_}; }
 
  private:
   void LocalFixpoint(const Fragment& frag, PieContext<double>& ctx);
 
   vid_t source_;
-  std::vector<double> dist_;
+  const Fragment* frag_ = nullptr;
+  std::vector<double> dist_;  // Per local vertex.
   std::vector<vid_t> worklist_;
   std::vector<vid_t> dirty_outer_;
   std::vector<uint8_t> dirty_outer_flag_;
@@ -72,12 +78,15 @@ class WccApp : public PieApp<uint32_t> {
   void PEval(const Fragment& frag, PieContext<uint32_t>& ctx) override;
   void IncEval(const Fragment& frag, PieContext<uint32_t>& ctx) override;
 
-  const std::vector<uint32_t>& labels() const { return label_; }
+  /// Component label (smallest global id) of every local vertex, read by
+  /// global id.
+  GlobalView<uint32_t> labels() const { return {frag_, &label_}; }
 
  private:
   void LocalFixpoint(const Fragment& frag, PieContext<uint32_t>& ctx);
 
-  std::vector<uint32_t> label_;
+  const Fragment* frag_ = nullptr;
+  std::vector<uint32_t> label_;  // Per local vertex.
   std::vector<vid_t> worklist_;
   std::vector<vid_t> dirty_outer_;
   std::vector<uint8_t> dirty_outer_flag_;

@@ -32,15 +32,19 @@ class PieContext {
 
   int round() const { return round_; }
 
-  /// Sends `msg` to (the fragment owning) `target`, delivered next round.
-  void SendTo(vid_t target, const MSG& msg) {
-    messages_->Send(frag_->fid(), frag_->OwnerOf(target), target, msg);
+  /// Sends `msg` to local vertex `lid` (inner or outer), delivered next
+  /// round to its owner, addressed by its local id there.
+  void SendTo(vid_t lid, const MSG& msg) {
+    messages_->Send(frag_->fid(), frag_->OwnerOf(lid), frag_->RemoteLid(lid),
+                    msg);
   }
 
-  /// Streams this fragment's inbound messages for the current round. A
-  /// delivery failure (kDataLoss after exhausted recovery) is latched into
-  /// receive_status() — apps keep their void callbacks; the runtime checks
-  /// the latch after each compute phase and aborts the run cleanly.
+  /// Streams this fragment's inbound messages for the current round, each
+  /// as `fn(lid, msg)` with `lid` an inner local id of this fragment (or
+  /// kInvalidVid for Broadcast and SendToSelf). A delivery failure
+  /// (kDataLoss after exhausted recovery) is latched into receive_status()
+  /// — apps keep their void callbacks; the runtime checks the latch after
+  /// each compute phase and aborts the run cleanly.
   template <typename Fn>
   void ForEachMessage(Fn&& fn) const {
     Status st = messages_->Receive(frag_->fid(), std::forward<Fn>(fn));
@@ -214,10 +218,29 @@ Result<int> RunPieChecked(
   // so the nfrag² channel walk no longer serializes on the leader while
   // the other workers idle. Phase 2 (one leader): aggregate the shard
   // results and decide whether another round is needed.
+  //
+  // Each worker observes its own compute per round into
+  // flex_pie_compute_us and the time it spent blocked in that round's
+  // barrier awaits into flex_pie_barrier_wait_us, so a slow superstep
+  // tells the slowest fragment apart from the ones waiting on it.
   auto worker = [&](partition_t fid) {
-    compute(fid, 0);
+    uint64_t waited_us = 0;
+    auto await = [&] {
+      Timer wait;
+      const bool leader = barrier.Await();
+      waited_us += static_cast<uint64_t>(wait.ElapsedMicros());
+      return leader;
+    };
+    auto timed_compute = [&](int round) {
+      Timer busy;
+      compute(fid, round);
+      FLEX_HISTOGRAM_OBSERVE_US(metrics::kPieComputeUs,
+                                static_cast<uint64_t>(busy.ElapsedMicros()));
+    };
+    timed_compute(0);
     for (int round = 1; round <= options.max_rounds; ++round) {
-      if (barrier.Await()) {
+      waited_us = 0;
+      if (await()) {
         // Phase 1 leader: recovery must precede the flush shards (its
         // re-executed computes append to the pre-flush outgoing buffers),
         // and the counter drain must follow recovery (recovery sends).
@@ -244,9 +267,9 @@ Result<int> RunPieChecked(
       }
       // Publishes phase 1 (recovery sends, drained counters) to all
       // workers, then each worker frames its own destination's traffic.
-      barrier.Await();
+      await();
       messages.FlushShard(fid);
-      if (barrier.Await()) {
+      if (await()) {
         // Phase 2 leader: every shard is framed (published by the barrier
         // just crossed); summarize and decide.
         const size_t fragments_with_traffic = messages.EndFlush();
@@ -269,9 +292,10 @@ Result<int> RunPieChecked(
                   : trace::kNoParent;
         }
       }
-      barrier.Await();
+      await();
+      FLEX_HISTOGRAM_OBSERVE_US(metrics::kPieBarrierWaitUs, waited_us);
       if (!proceed.load(std::memory_order_acquire)) break;
-      compute(fid, round);
+      timed_compute(round);
     }
   };
 

@@ -17,19 +17,23 @@ class PregelAdapter;
 template <typename VVAL, typename MSG>
 class PregelVertex {
  public:
-  vid_t id() const { return id_; }
+  /// The vertex's global id.
+  vid_t id() const { return frag_->Gid(lid_); }
   int superstep() const { return superstep_; }
   VVAL& value() { return *value_; }
   const VVAL& value() const { return *value_; }
 
+  /// Handles of the out-neighbors, for SendTo (the fragment's local ids,
+  /// not global ids).
   std::span<const vid_t> out_neighbors() const {
-    return frag_->OutNeighbors(id_);
+    return frag_->OutNeighbors(lid_);
   }
   std::span<const double> out_weights() const {
-    return frag_->OutWeights(id_);
+    return frag_->OutWeights(lid_);
   }
-  size_t out_degree() const { return frag_->OutDegree(id_); }
+  size_t out_degree() const { return frag_->OutDegree(lid_); }
 
+  /// Sends `msg` to the out-neighbor with handle `target`.
   void SendTo(vid_t target, const MSG& msg) { ctx_->SendTo(target, msg); }
   void SendToNeighbors(const MSG& msg) {
     for (vid_t u : out_neighbors()) ctx_->SendTo(u, msg);
@@ -41,7 +45,7 @@ class PregelVertex {
  private:
   friend class PregelAdapter<VVAL, MSG>;
 
-  vid_t id_ = 0;
+  vid_t lid_ = 0;
   int superstep_ = 0;
   VVAL* value_ = nullptr;
   uint8_t* halted_ = nullptr;
@@ -57,6 +61,7 @@ template <typename VVAL, typename MSG>
 class PregelProgram {
  public:
   virtual ~PregelProgram() = default;
+  /// Initial value of the vertex with global id `v`.
   virtual VVAL Init(vid_t v, const Fragment& frag) = 0;
   virtual void Compute(PregelVertex<VVAL, MSG>& vertex,
                        std::span<const MSG> messages) = 0;
@@ -73,14 +78,15 @@ class PregelAdapter : public PieApp<MSG> {
       : program_(program), max_supersteps_(max_supersteps) {}
 
   void PEval(const Fragment& frag, PieContext<MSG>& ctx) override {
-    values_.resize(frag.total_vertices());
-    halted_.assign(frag.total_vertices(), 0);
-    ran_this_round_.assign(frag.total_vertices(), 0);
-    inbox_.assign(frag.total_vertices(), {});
-    for (vid_t v : frag.inner_vertices()) {
-      values_[v] = program_->Init(v, frag);
+    frag_ = &frag;
+    values_.resize(frag.ivnum());
+    halted_.assign(frag.ivnum(), 0);
+    ran_this_round_.assign(frag.ivnum(), 0);
+    inbox_.assign(frag.ivnum(), {});
+    for (vid_t v = 0; v < frag.ivnum(); ++v) {
+      values_[v] = program_->Init(frag.Gid(v), frag);
     }
-    for (vid_t v : frag.inner_vertices()) {
+    for (vid_t v = 0; v < frag.ivnum(); ++v) {
       RunVertex(frag, ctx, v, 0, {});
     }
     MaybeKeepAlive(frag, ctx, 0);
@@ -101,7 +107,7 @@ class PregelAdapter : public PieApp<MSG> {
       RunVertex(frag, ctx, v, superstep, inbox_[v]);
       inbox_[v].clear();
     }
-    for (vid_t v : frag.inner_vertices()) {
+    for (vid_t v = 0; v < frag.ivnum(); ++v) {
       if (halted_[v] == 0 && ran_this_round_[v] == 0) {
         RunVertex(frag, ctx, v, superstep, {});
       }
@@ -110,13 +116,14 @@ class PregelAdapter : public PieApp<MSG> {
     MaybeKeepAlive(frag, ctx, superstep);
   }
 
-  const std::vector<VVAL>& values() const { return values_; }
+  /// Value of every inner vertex, read by global id.
+  GlobalView<VVAL> values() const { return {frag_, &values_}; }
 
  private:
   void RunVertex(const Fragment& frag, PieContext<MSG>& ctx, vid_t v,
                  int superstep, std::span<const MSG> messages) {
     PregelVertex<VVAL, MSG> vertex;
-    vertex.id_ = v;
+    vertex.lid_ = v;
     vertex.superstep_ = superstep;
     vertex.value_ = &values_[v];
     vertex.halted_ = &halted_[v];
@@ -130,7 +137,7 @@ class PregelAdapter : public PieApp<MSG> {
   void MaybeKeepAlive(const Fragment& frag, PieContext<MSG>& ctx,
                       int superstep) {
     if (superstep + 1 >= max_supersteps_) return;
-    for (vid_t v : frag.inner_vertices()) {
+    for (vid_t v = 0; v < frag.ivnum(); ++v) {
       if (halted_[v] == 0) {
         ctx.SendToSelf(MSG{});
         return;
@@ -140,6 +147,8 @@ class PregelAdapter : public PieApp<MSG> {
 
   PregelProgram<VVAL, MSG>* program_;
   int max_supersteps_;
+  const Fragment* frag_ = nullptr;
+  // Per inner vertex.
   std::vector<VVAL> values_;
   std::vector<uint8_t> halted_;
   std::vector<uint8_t> ran_this_round_;

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "common/logging.h"
 #include "graph/edge_list.h"
 #include "graph/types.h"
 
@@ -23,15 +22,7 @@ class Csr {
 
   /// Builds from an edge list using counting sort; O(V + E), stable within
   /// a source vertex (insertion order preserved).
-  static Csr FromEdges(const EdgeList& list, bool reversed = false) {
-    return FromEdgesIf(list, reversed, [](const RawEdge&) { return true; });
-  }
-
-  /// FromEdges over only the edges `keep(edge)` accepts, read in place:
-  /// the kept edges stay in list order and are never copied out first.
-  /// `keep` runs twice per edge (count, then place) and must agree.
-  template <typename Keep>
-  static Csr FromEdgesIf(const EdgeList& list, bool reversed, Keep&& keep);
+  static Csr FromEdges(const EdgeList& list, bool reversed = false);
 
   vid_t num_vertices() const {
     return offsets_.empty() ? 0 : static_cast<vid_t>(offsets_.size() - 1);
@@ -59,33 +50,6 @@ class Csr {
   std::vector<vid_t> neighbors_;  // size E
   std::vector<double> weights_;   // size E
 };
-
-template <typename Keep>
-Csr Csr::FromEdgesIf(const EdgeList& list, bool reversed, Keep&& keep) {
-  Csr csr;
-  const vid_t n = list.num_vertices;
-  csr.offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  for (const RawEdge& e : list.edges) {
-    if (!keep(e)) continue;
-    const vid_t key = reversed ? e.dst : e.src;
-    FLEX_DCHECK(key < n);
-    ++csr.offsets_[key + 1];
-  }
-  for (size_t i = 1; i <= n; ++i) csr.offsets_[i] += csr.offsets_[i - 1];
-
-  csr.neighbors_.resize(csr.offsets_[n]);
-  csr.weights_.resize(csr.offsets_[n]);
-  std::vector<eid_t> cursor(csr.offsets_.begin(), csr.offsets_.end() - 1);
-  for (const RawEdge& e : list.edges) {
-    if (!keep(e)) continue;
-    const vid_t key = reversed ? e.dst : e.src;
-    const vid_t val = reversed ? e.src : e.dst;
-    const eid_t slot = cursor[key]++;
-    csr.neighbors_[slot] = val;
-    csr.weights_[slot] = e.weight;
-  }
-  return csr;
-}
 
 /// Basic structural statistics used by dataset registries and benchmarks.
 struct GraphStats {

@@ -10,12 +10,4 @@ EdgeCutPartitioner::EdgeCutPartitioner(vid_t num_vertices,
   FLEX_CHECK(num_partitions > 0);
 }
 
-std::vector<vid_t> EdgeCutPartitioner::VerticesOf(partition_t p) const {
-  std::vector<vid_t> out;
-  for (vid_t v = 0; v < num_vertices_; ++v) {
-    if (GetPartition(v) == p) out.push_back(v);
-  }
-  return out;
-}
-
 }  // namespace flex

@@ -2,7 +2,6 @@
 #define FLEX_GRAPH_PARTITIONER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/types.h"
 
@@ -27,9 +26,6 @@ class EdgeCutPartitioner {
 
   partition_t num_partitions() const { return num_partitions_; }
   vid_t num_vertices() const { return num_vertices_; }
-
-  /// All vertices owned by `p`, ascending.
-  std::vector<vid_t> VerticesOf(partition_t p) const;
 
  private:
   vid_t num_vertices_;

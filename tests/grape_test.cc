@@ -7,6 +7,8 @@
 #include <numeric>
 #include <set>
 #include <queue>
+#include <string>
+#include <tuple>
 
 #include "common/barrier.h"
 #include "common/random.h"
@@ -17,6 +19,7 @@
 #include "grape/apps/kcore.h"
 #include "grape/apps/pagerank.h"
 #include "grape/apps/traversal.h"
+#include "grape/compat.h"
 #include "grape/flash.h"
 #include "grape/ingress.h"
 #include "grape/message_manager.h"
@@ -132,7 +135,7 @@ TEST_P(FragmentCounts, PartitionCoversAllEdges) {
     edge_total += frag->num_inner_edges();
     // Every edge a fragment holds hangs off one of its inner vertices.
     size_t inner_out_degree = 0;
-    for (vid_t v : frag->inner_vertices()) {
+    for (vid_t v = 0; v < frag->ivnum(); ++v) {
       in_edge_total += frag->InDegree(v);
       inner_out_degree += frag->OutDegree(v);
       EXPECT_TRUE(frag->IsInner(v));
@@ -143,6 +146,102 @@ TEST_P(FragmentCounts, PartitionCoversAllEdges) {
   EXPECT_EQ(inner_total, g.num_vertices);
   EXPECT_EQ(edge_total, g.num_edges());
   EXPECT_EQ(in_edge_total, g.num_edges());
+}
+
+TEST_P(FragmentCounts, LocalIdsFollowTheLayout) {
+  EdgeList g = TestGraph();
+  EdgeCutPartitioner part(g.num_vertices, GetParam());
+  auto frags = Partition(g, part);
+  for (const auto& frag : frags) {
+    SCOPED_TRACE("fragment " + std::to_string(frag->fid()));
+    const auto inner = frag->inner_vertices();
+    ASSERT_EQ(inner.size(), frag->ivnum());
+    for (vid_t l = 0; l < frag->num_local(); ++l) {
+      EXPECT_EQ(frag->Lid(frag->Gid(l)), l) << "lid " << l;
+      EXPECT_EQ(frag->OwnerOf(l), part.GetPartition(frag->Gid(l)))
+          << "lid " << l;
+      EXPECT_EQ(frag->RemoteLid(l),
+                frags[frag->OwnerOf(l)]->Lid(frag->Gid(l)))
+          << "lid " << l;
+    }
+    // Inner ids follow inner_vertices(), which ascend and are owned here.
+    for (vid_t l = 0; l < frag->ivnum(); ++l) {
+      EXPECT_EQ(frag->Gid(l), inner[l]);
+      EXPECT_TRUE(frag->IsInner(l));
+      EXPECT_EQ(frag->OwnerOf(l), frag->fid());
+      if (l > 0) EXPECT_LT(inner[l - 1], inner[l]);
+    }
+    // Outer ids are owned elsewhere, grouped by owner, ascending within one.
+    for (vid_t l = frag->ivnum(); l < frag->num_local(); ++l) {
+      EXPECT_FALSE(frag->IsInner(l));
+      EXPECT_NE(frag->OwnerOf(l), frag->fid()) << "lid " << l;
+      if (l == frag->ivnum()) continue;
+      EXPECT_LE(frag->OwnerOf(l - 1), frag->OwnerOf(l)) << "lid " << l;
+      if (frag->OwnerOf(l - 1) == frag->OwnerOf(l)) {
+        EXPECT_LT(frag->Gid(l - 1), frag->Gid(l)) << "lid " << l;
+      }
+    }
+    // Every global id maps to its local id or to kInvalidVid, and so does
+    // one past the graph.
+    vid_t mapped = 0;
+    for (vid_t v = 0; v < g.num_vertices; ++v) {
+      if (frag->Lid(v) != kInvalidVid) ++mapped;
+    }
+    EXPECT_EQ(mapped, frag->num_local());
+    EXPECT_EQ(frag->Lid(g.num_vertices), kInvalidVid);
+    EXPECT_EQ(frag->Lid(kInvalidVid), kInvalidVid);
+  }
+}
+
+TEST_P(FragmentCounts, EdgesMapBackToTheEdgeList) {
+  EdgeList g = TestGraph();
+  EdgeCutPartitioner part(g.num_vertices, GetParam());
+  auto frags = Partition(g, part);
+  std::vector<RawEdge> out_edges;
+  std::vector<std::pair<vid_t, vid_t>> in_edges;
+  for (const auto& frag : frags) {
+    for (vid_t l = 0; l < frag->ivnum(); ++l) {
+      const auto nbrs = frag->OutNeighbors(l);
+      const auto weights = frag->OutWeights(l);
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        out_edges.push_back({frag->Gid(l), frag->Gid(nbrs[i]), weights[i]});
+      }
+      for (vid_t u : frag->InNeighbors(l)) {
+        in_edges.push_back({frag->Gid(u), frag->Gid(l)});
+      }
+    }
+  }
+  auto by_endpoints = [](const RawEdge& a, const RawEdge& b) {
+    return std::tie(a.src, a.dst, a.weight) < std::tie(b.src, b.dst, b.weight);
+  };
+  std::vector<RawEdge> want = g.edges;
+  std::sort(want.begin(), want.end(), by_endpoints);
+  std::sort(out_edges.begin(), out_edges.end(), by_endpoints);
+  EXPECT_EQ(out_edges, want);
+  std::vector<std::pair<vid_t, vid_t>> want_in;
+  for (const RawEdge& e : g.edges) want_in.push_back({e.src, e.dst});
+  std::sort(want_in.begin(), want_in.end());
+  std::sort(in_edges.begin(), in_edges.end());
+  EXPECT_EQ(in_edges, want_in);
+}
+
+TEST(FragmentTest, EveryVertexHasExactlyOneOwner) {
+  const vid_t n = 1000;
+  EdgeList g;
+  g.num_vertices = n;
+  EdgeCutPartitioner part(n, 4);
+  std::vector<int> seen(n, 0);
+  for (const auto& frag : Partition(g, part)) {
+    for (vid_t v : frag->inner_vertices()) ++seen[v];
+  }
+  for (vid_t v = 0; v < n; ++v) EXPECT_EQ(seen[v], 1) << "vertex " << v;
+}
+
+TEST(FragmentTest, SinglePartitionOwnsAll) {
+  EdgeList g;
+  g.num_vertices = 50;
+  EdgeCutPartitioner part(50, 1);
+  EXPECT_EQ(Partition(g, part)[0]->inner_vertices().size(), 50u);
 }
 
 TEST(FragmentTest, HashBalancesRmatEdges) {
@@ -165,10 +264,11 @@ TEST(FragmentTest, HashBalancesRmatEdges) {
 }
 
 TEST(FragmentTest, OwnerMapSurvivesMoreThan256Partitions) {
-  // owner_ used to be a byte map: partition ids beyond 255 were stored
-  // mod 256, so OwnerOf misrouted every message on a >256-fragment
+  // The owner map used to be a byte map: partition ids beyond 255 were
+  // stored mod 256, so OwnerOf misrouted every message on a >256-fragment
   // deployment while all small-fragment tests stayed green. Build with 300
-  // partitions and check the materialized map against the partitioner.
+  // partitions and check every fragment's per-local-id owner against the
+  // partitioner.
   EdgeList g = datagen::GenerateRmat({.scale = 11, .edge_factor = 4.0,
                                       .a = 0.57, .b = 0.19, .c = 0.19,
                                       .seed = 5});
@@ -182,14 +282,18 @@ TEST(FragmentTest, OwnerMapSurvivesMoreThan256Partitions) {
   ASSERT_GT(max_partition, 255u);
   auto frags = Partition(g, part);
   ASSERT_EQ(frags.size(), static_cast<size_t>(kParts));
-  for (vid_t v = 0; v < g.num_vertices; ++v) {
-    const partition_t owner = part.GetPartition(v);
-    EXPECT_EQ(frags[0]->OwnerOf(v), owner) << "vertex " << v;
-    EXPECT_EQ(frags[owner]->IsInner(v), true) << "vertex " << v;
-    if (owner != 0) {
-      EXPECT_FALSE(frags[0]->IsInner(v)) << "vertex " << v;
+  bool outer_above_255 = false;
+  for (const auto& frag : frags) {
+    for (vid_t l = 0; l < frag->num_local(); ++l) {
+      const vid_t v = frag->Gid(l);
+      const partition_t owner = part.GetPartition(v);
+      EXPECT_EQ(frag->OwnerOf(l), owner) << "vertex " << v;
+      EXPECT_EQ(frag->IsInner(l), owner == frag->fid()) << "vertex " << v;
+      EXPECT_EQ(frags[owner]->Gid(frag->RemoteLid(l)), v) << "vertex " << v;
+      outer_above_255 = outer_above_255 || (!frag->IsInner(l) && owner > 255);
     }
   }
+  EXPECT_TRUE(outer_above_255);
 }
 
 // ------------------------------------------------------------ PageRank
@@ -278,6 +382,46 @@ TEST_P(FragmentCounts, KCoreMatchesOneFragment) {
     EXPECT_GT(core, 0) << "k=" << k;
     EXPECT_LT(core, static_cast<std::ptrdiff_t>(want.size())) << "k=" << k;
     EXPECT_EQ(RunKCore(frags, k), want) << "k=" << k;
+  }
+}
+
+// A source no fragment owns used to index past every per-vertex array.
+// Sources just past the graph and far past it now reach nothing.
+constexpr vid_t kSourcesOutsideTheGraph[] = {1031, 4000000000u};
+
+TEST(BfsTest, SourceOutsideTheGraphReachesNothing) {
+  EdgeList g = TestGraph();
+  ASSERT_EQ(g.num_vertices, 1024u);
+  EdgeCutPartitioner part(g.num_vertices, 3);
+  auto frags = Partition(g, part);
+  for (vid_t source : kSourcesOutsideTheGraph) {
+    const auto depth = RunBfs(frags, source);
+    ASSERT_EQ(depth.size(), g.num_vertices);
+    for (vid_t v = 0; v < g.num_vertices; ++v) {
+      EXPECT_EQ(depth[v], kUnreachedDepth) << "source " << source;
+    }
+  }
+}
+
+TEST(SsspTest, SourceOutsideTheGraphReachesNothing) {
+  EdgeList g = TestGraph();
+  EdgeCutPartitioner part(g.num_vertices, 3);
+  auto frags = Partition(g, part);
+  for (vid_t source : kSourcesOutsideTheGraph) {
+    const auto dist = RunSssp(frags, source);
+    ASSERT_EQ(dist.size(), g.num_vertices);
+    for (vid_t v = 0; v < g.num_vertices; ++v) {
+      EXPECT_EQ(dist[v], kUnreachedDist) << "source " << source;
+    }
+  }
+}
+
+TEST(NetworkXTest, SourceOutsideTheGraphReachesNothing) {
+  EdgeList g = TestGraph();
+  for (vid_t source : kSourcesOutsideTheGraph) {
+    EXPECT_TRUE(
+        networkx::single_source_shortest_path_length(g, source, 3).empty())
+        << "source " << source;
   }
 }
 

@@ -145,71 +145,7 @@ TEST(CsrTest, EdgeOffsetsAreGlobalRanks) {
   EXPECT_EQ(csr.EdgeOffset(3), 4u);
 }
 
-/// Pseudo-random edges over 12 vertices. Every weight is distinct, so the
-/// per-vertex insertion order shows in the weights.
-EdgeList ScrambledGraph() {
-  EdgeList list;
-  list.num_vertices = 12;
-  uint32_t x = 1;
-  for (int i = 0; i < 60; ++i) {
-    x = x * 1103515245u + 12345u;
-    list.edges.push_back({(x >> 16) % 12, (x >> 8) % 12, 0.5 + i});
-  }
-  return list;
-}
-
-void ExpectSameCsr(const Csr& got, const Csr& want) {
-  EXPECT_EQ(got.offsets(), want.offsets());
-  EXPECT_EQ(got.neighbors(), want.neighbors());
-  EXPECT_EQ(got.weights(), want.weights());
-}
-
-TEST(CsrTest, FromEdgesIfAlwaysTrueEqualsFromEdges) {
-  const EdgeList list = ScrambledGraph();
-  for (bool reversed : {false, true}) {
-    SCOPED_TRACE(reversed ? "reversed" : "forward");
-    ExpectSameCsr(
-        Csr::FromEdgesIf(list, reversed, [](const RawEdge&) { return true; }),
-        Csr::FromEdges(list, reversed));
-  }
-}
-
-TEST(CsrTest, FromEdgesIfEqualsFromEdgesOverFilteredCopy) {
-  const EdgeList list = ScrambledGraph();
-  auto src_even = [](const RawEdge& e) { return e.src % 2 == 0; };
-  auto dst_third = [](const RawEdge& e) { return e.dst % 3 == 0; };
-  auto filtered = [&](auto keep) {
-    EdgeList copy;
-    copy.num_vertices = list.num_vertices;
-    for (const RawEdge& e : list.edges) {
-      if (keep(e)) copy.edges.push_back(e);
-    }
-    return copy;
-  };
-  const Csr forward = Csr::FromEdgesIf(list, /*reversed=*/false, src_even);
-  ExpectSameCsr(forward, Csr::FromEdges(filtered(src_even)));
-  const Csr reversed = Csr::FromEdgesIf(list, /*reversed=*/true, dst_third);
-  ExpectSameCsr(reversed,
-                Csr::FromEdges(filtered(dst_third), /*reversed=*/true));
-  // The filters really dropped edges, and odd sources kept none.
-  EXPECT_LT(forward.num_edges(), list.num_edges());
-  EXPECT_LT(reversed.num_edges(), list.num_edges());
-  for (vid_t v = 1; v < list.num_vertices; v += 2) {
-    EXPECT_EQ(forward.degree(v), 0u) << "vertex " << v;
-  }
-}
-
 // ---------------------------------------------------------- Partitioner
-
-TEST(PartitionerTest, EveryVertexHasExactlyOneOwner) {
-  const vid_t n = 1000;
-  EdgeCutPartitioner part(n, 4);
-  std::vector<int> seen(n, 0);
-  for (partition_t p = 0; p < 4; ++p) {
-    for (vid_t v : part.VerticesOf(p)) ++seen[v];
-  }
-  for (vid_t v = 0; v < n; ++v) EXPECT_EQ(seen[v], 1) << "vertex " << v;
-}
 
 TEST(PartitionerTest, PartitionIdsInRange) {
   EdgeCutPartitioner part(777, 3);
@@ -225,11 +161,6 @@ TEST(PartitionerTest, HashBalancesLoad) {
     EXPECT_GT(c, n / 8 / 2);
     EXPECT_LT(c, n / 8 * 2);
   }
-}
-
-TEST(PartitionerTest, SinglePartitionOwnsAll) {
-  EdgeCutPartitioner part(50, 1);
-  EXPECT_EQ(part.VerticesOf(0).size(), 50u);
 }
 
 }  // namespace

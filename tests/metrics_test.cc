@@ -128,6 +128,8 @@ const char* const kExpectedStackMetrics[] = {
     "flex_msg_bytes_flushed_total",
     "flex_msg_retransmits_total",
     "flex_msgs_sent_total",
+    "flex_pie_barrier_wait_us",
+    "flex_pie_compute_us",
     "flex_pie_recoveries_total",
     "flex_pie_supersteps_total",
     "flex_pie_superstep_duration_us",
@@ -334,6 +336,12 @@ TEST_F(EndToEndMetricsTest, PieRunFeedsSuperstepAndMessageCounters) {
   EXPECT_GT(
       Registry().GetHistogram(metrics::kPieSuperstepDurationUs)->TotalCount(),
       0u);
+  // One compute and one barrier-wait observation per fragment per round:
+  // 3 fragments, PEval plus 5 IncEval rounds.
+  EXPECT_GE(Registry().GetHistogram(metrics::kPieComputeUs)->TotalCount(),
+            3u * 6u);
+  EXPECT_GE(Registry().GetHistogram(metrics::kPieBarrierWaitUs)->TotalCount(),
+            3u * 5u);
 }
 
 }  // namespace
